@@ -21,7 +21,7 @@ namespace rbvc::consensus {
 protocols::DecisionFn algo_decision(std::size_t f, double tol = kTol,
                                     MinimaxOptions opts = {});
 
-/// ALGO Step 2 under L1 / Linf (exact LP bisection).
+/// ALGO Step 2 under L1 / Linf (one exact LP).
 protocols::DecisionFn algo_decision_linear(std::size_t f, double p,
                                            double tol = kTol);
 

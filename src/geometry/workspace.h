@@ -5,8 +5,7 @@
 //
 //   * the drop-f combination index lists (pure function of (n, f), memoized)
 //     and PointView subset enumeration built on them,
-//   * two IncrementalSolver slots -- a general one for subset-swap warm
-//     starts and a dedicated one for the delta* bisection probe,
+//   * an IncrementalSolver slot for subset-swap warm starts,
 //   * SpanFrame / vector scratch buffers.
 //
 // Determinism contract: the workspace never carries solver state across
@@ -62,12 +61,8 @@ class GeometryWorkspace {
   std::vector<PointView> drop_f_views(const std::vector<Vec>& s,
                                       std::size_t f);
 
-  /// General warm-start solver slot (subset-swap reuse in gamma_excess).
+  /// Warm-start solver slot (subset-swap reuse in gamma_excess).
   lp::IncrementalSolver& solver() { return solver_; }
-
-  /// Dedicated solver slot for the delta* bisection probe, so the probe's
-  /// retained basis survives interleaved gamma_excess solves.
-  lp::IncrementalSolver& bisect_solver() { return bisect_solver_; }
 
   /// Reusable SpanFrame storage (delta_star_2's span projection).
   SpanFrame& span_frame() { return frame_; }
@@ -83,7 +78,6 @@ class GeometryWorkspace {
            std::vector<std::vector<std::size_t>>>
       subsets_;
   lp::IncrementalSolver solver_;
-  lp::IncrementalSolver bisect_solver_;
   SpanFrame frame_;
   Vec scratch_;
 };

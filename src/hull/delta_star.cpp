@@ -1,6 +1,5 @@
 #include "hull/delta_star.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "geometry/hull.h"
@@ -123,30 +122,12 @@ DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
     record_call(out);
     return out;
   }
-  double lo = 0.0;
-  double hi = gamma_excess(mean(s), s, f, p, tol, ws);
-  Vec witness = mean(s);
-  const double scale = std::max(1.0, hi);
-
-  // One feasibility LP, many right-hand sides: build the probe once, prime
-  // its basis at a comfortably feasible delta (the mean witnesses
-  // delta = hi), then every bisection iteration re-solves warm -- dual
-  // simplex from the retained basis instead of Phase-1-from-scratch.
-  GammaDeltaProbe probe(s, f, p, tol, ws);
-  probe.probe(hi + scale);
-  while (hi - lo > tol * scale) {
-    obs::global().counter("geom.delta_star.bisect_iters").inc();
-    const double mid = 0.5 * (lo + hi);
-    if (auto w = probe.probe(mid)) {
-      hi = mid;
-      witness = *w;
-    } else {
-      lo = mid;
-    }
-  }
-  out.value = hi;
-  out.point = witness;
-  out.exact = true;  // LP bisection: certified to within tol*scale
+  // Gamma_(delta,p)(S) is polyhedral in (x, delta) for p in {1, inf}, so
+  // delta* is the optimum of one LP with delta as a column.
+  auto lp = detail::solve_gamma_delta_lp(s, f, p, std::nullopt, tol, ws);
+  out.value = lp->delta;
+  out.point = std::move(lp->x);
+  out.exact = true;
   out.method = DeltaStarResult::Method::kNumerical;
   record_call(out);
   return out;

@@ -2,14 +2,15 @@
 // non-empty -- the quantity ALGO (paper Sec. 9) minimizes in its Step 2,
 // and the quantity Theorems 8, 9, 12 and Conjectures 1-3 upper-bound.
 //
-// Computation strategy (all cases first project S isometrically onto the
+// Computation strategy (the L2 cases first project S isometrically onto the
 // affine span of its points, per the paper's Case II arguments):
 //   1. Gamma(S) non-empty (LP)            -> delta* = 0, exact.
-//   2. f = 1 and S a full simplex in span -> delta* = inradius (Lemma 13),
-//      point = incenter, exact.
-//   3. otherwise                          -> numerical minimax (upper bound
-//      within solver tolerance), plus an LP lower-bound certificate for
-//      p in {1, inf} via bisection.
+//   2. p = 2, f = 1 and S a full simplex  -> delta* = inradius (Lemma 13),
+//      in its span                           point = incenter, exact.
+//   3. otherwise, p in {1, inf}           -> one LP with delta as a column
+//      (gamma.h), exact to the simplex tolerance.
+//   4. otherwise                          -> numerical minimax (upper bound
+//      within solver tolerance).
 #pragma once
 
 #include <optional>
@@ -28,7 +29,7 @@ struct DeltaStarResult {
   enum class Method {
     kGammaNonempty,    // delta* = 0
     kSimplexInradius,  // Lemma 13 closed form (possibly in a subspace)
-    kNumerical,        // minimax iteration
+    kNumerical,        // minimax iteration, or the delta LP (p in {1, inf})
   } method = Method::kNumerical;
 };
 
@@ -40,9 +41,9 @@ DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
                              const MinimaxOptions& opts = {},
                              GeometryWorkspace& ws = GeometryWorkspace::local());
 
-/// delta*_p(S) for p = 1 or inf: exact bisection on LP feasibility. The
-/// bisection re-solves one LP warm across iterations (only the delta
-/// right-hand sides move between probes).
+/// delta*_p(S) for p = 1 or inf: the optimum of the Gamma_(delta,p) LP
+/// with delta as a column, solved cold; exact. Throws numerical_error if the
+/// simplex stops short of an optimum (iteration limit).
 DeltaStarResult delta_star_linear(
     const std::vector<Vec>& s, std::size_t f, double p, double tol = kTol,
     GeometryWorkspace& ws = GeometryWorkspace::local());

@@ -1,9 +1,9 @@
 #include "hull/gamma.h"
 
 #include <algorithm>
+#include <string>
 
 #include "geometry/hull.h"
-#include "opt/pocs.h"
 
 namespace rbvc {
 
@@ -12,21 +12,30 @@ std::optional<Vec> gamma_point(const std::vector<Vec>& y, std::size_t f,
   return hull_intersection_point(ws.drop_f_views(y, f), tol);
 }
 
-GammaDeltaProbe::GammaDeltaProbe(const std::vector<Vec>& y, std::size_t f,
-                                 double p, double tol, GeometryWorkspace& ws)
-    : solver_(ws.bisect_solver()) {
+namespace detail {
+
+std::optional<GammaDeltaLpPoint> solve_gamma_delta_lp(
+    const std::vector<Vec>& y, std::size_t f, double p,
+    std::optional<double> delta, double tol, GeometryWorkspace& ws) {
   RBVC_REQUIRE(p == 1.0 || p >= kInfNorm,
                "gamma_delta_point_linear: p must be 1 or inf");
-  d_ = y.front().size();
-  const auto views = ws.drop_f_views(y, f);
+  const std::size_t d = y.front().size();
+  lp::Model model;
+  const auto u0 = model.add_vars(d, 0.0, /*free=*/true);
+  // A pinned delta is the norm rows' right-hand side; a free one is a
+  // column moved to their left-hand side.
+  const lp::Model::VarId delta_col = delta ? 0 : model.add_var(1.0);
+  auto add_norm_row = [&](std::vector<lp::Model::Term> terms) {
+    if (!delta) terms.push_back({delta_col, -1.0});
+    model.add_constraint(terms, lp::Rel::kLe, delta.value_or(0.0));
+  };
 
-  const auto u0 = model_.add_vars(d_, 0.0, /*free=*/true);
-  for (const PointView& t : views) {
-    const auto lambda0 = model_.add_vars(t.size());
+  for (const PointView& t : ws.drop_f_views(y, f)) {
+    const auto lambda0 = model.add_vars(t.size());
     // Residual split: s = s+ - s- with s+, s- >= 0.
-    const auto sp0 = model_.add_vars(d_);
-    const auto sm0 = model_.add_vars(d_);
-    for (std::size_t r = 0; r < d_; ++r) {
+    const auto sp0 = model.add_vars(d);
+    const auto sm0 = model.add_vars(d);
+    for (std::size_t r = 0; r < d; ++r) {
       // u[r] - sum_j lambda_j t_j[r] - s+[r] + s-[r] = 0
       std::vector<lp::Model::Term> row;
       row.push_back({u0 + r, 1.0});
@@ -35,71 +44,53 @@ GammaDeltaProbe::GammaDeltaProbe(const std::vector<Vec>& y, std::size_t f,
       }
       row.push_back({sp0 + r, -1.0});
       row.push_back({sm0 + r, 1.0});
-      model_.add_constraint(row, lp::Rel::kEq, 0.0);
+      model.add_constraint(row, lp::Rel::kEq, 0.0);
     }
     std::vector<lp::Model::Term> sum_row;
     for (std::size_t j = 0; j < t.size(); ++j) sum_row.push_back({lambda0 + j, 1.0});
-    model_.add_constraint(sum_row, lp::Rel::kEq, 1.0);
+    model.add_constraint(sum_row, lp::Rel::kEq, 1.0);
 
     if (p == 1.0) {
       // sum_r (s+[r] + s-[r]) <= delta
       std::vector<lp::Model::Term> norm_row;
-      for (std::size_t r = 0; r < d_; ++r) {
+      for (std::size_t r = 0; r < d; ++r) {
         norm_row.push_back({sp0 + r, 1.0});
         norm_row.push_back({sm0 + r, 1.0});
       }
-      delta_rows_.push_back(model_.add_constraint(norm_row, lp::Rel::kLe, 0.0));
+      add_norm_row(std::move(norm_row));
     } else {
       // s+[r] + s-[r] <= delta per coordinate (with both >= 0, at the
       // optimum at most one side is active, so this bounds |s_r|).
-      for (std::size_t r = 0; r < d_; ++r) {
-        delta_rows_.push_back(model_.add_constraint(
-            {{sp0 + r, 1.0}, {sm0 + r, 1.0}}, lp::Rel::kLe, 0.0));
+      for (std::size_t r = 0; r < d; ++r) {
+        add_norm_row({{sp0 + r, 1.0}, {sm0 + r, 1.0}});
       }
     }
   }
 
   lp::SimplexOptions opts;
   opts.tol = std::min(tol, 1e-8);
-  solver_.set_options(opts);
-  solver_.reset();  // results must not depend on prior workspace history
+  const lp::Solution sol = model.solve(opts);
+  if (delta && sol.status == lp::Status::kInfeasible) return std::nullopt;
+  if (sol.status != lp::Status::kOptimal) {
+    throw numerical_error(std::string("Gamma_delta LP: ") +
+                          lp::to_string(sol.status));
+  }
+  GammaDeltaLpPoint out;
+  out.x.assign(sol.x.begin(), sol.x.begin() + static_cast<std::ptrdiff_t>(d));
+  out.delta = delta ? *delta : std::max(0.0, sol.x[delta_col]);
+  return out;
 }
 
-std::optional<Vec> GammaDeltaProbe::probe(double delta) {
-  RBVC_REQUIRE(delta >= 0.0, "gamma_delta_point_linear: delta must be >= 0");
-  for (lp::Model::RowId row : delta_rows_) model_.set_rhs(row, delta);
-  lp::Solution sol;
-  if (!primed_) {
-    sol = model_.solve_with(solver_);
-    primed_ = true;
-  } else {
-    sol = model_.resolve_rhs_with(solver_);
-  }
-  if (sol.status != lp::Status::kOptimal) return std::nullopt;
-  return Vec(sol.x.begin(), sol.x.begin() + static_cast<std::ptrdiff_t>(d_));
-}
+}  // namespace detail
 
 std::optional<Vec> gamma_delta_point_linear(const std::vector<Vec>& y,
                                             std::size_t f, double delta,
                                             double p, double tol,
                                             GeometryWorkspace& ws) {
-  RBVC_REQUIRE(p == 1.0 || p >= kInfNorm,
-               "gamma_delta_point_linear: p must be 1 or inf");
   RBVC_REQUIRE(delta >= 0.0, "gamma_delta_point_linear: delta must be >= 0");
-  GammaDeltaProbe probe(y, f, p, tol, ws);
-  return probe.probe(delta);
-}
-
-std::optional<Vec> gamma_delta2_point(const std::vector<Vec>& y, std::size_t f,
-                                      double delta, double tol) {
-  const auto subsets = drop_f_subsets(y, f);
-  std::optional<Vec> p = pocs_point_within(subsets, delta, mean(y));
-  if (!p) return std::nullopt;
-  // POCS tolerance is loose; accept only genuine witnesses.
-  if (gamma_excess(*p, y, f, 2.0, tol) > delta + kLooseTol * 10.0) {
-    return std::nullopt;
-  }
-  return p;
+  auto sol = detail::solve_gamma_delta_lp(y, f, p, delta, tol, ws);
+  if (!sol) return std::nullopt;
+  return std::move(sol->x);
 }
 
 double gamma_excess(const Vec& u, const std::vector<Vec>& y, std::size_t f,

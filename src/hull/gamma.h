@@ -10,6 +10,13 @@
 // Each query threads a GeometryWorkspace (defaulting to the thread-local
 // one) for subset index views and warm-started LP re-solves; results are
 // independent of workspace history (solvers are reset per entry point).
+//
+// For p in {1, inf} every constraint dist_p(x, H(T)) <= delta is linear in
+// (x, delta), so Gamma_(delta,p)(Y) is the projection of one polyhedron:
+// the intersection-of-hulls LP of Vaidya & Garg with a split residual per
+// subset whose p-norm is bounded by delta. That single encoding serves
+// both the fixed-delta membership query below and delta*_p (delta_star.h),
+// which makes delta a column and minimizes it.
 #pragma once
 
 #include <optional>
@@ -31,11 +38,6 @@ std::optional<Vec> gamma_delta_point_linear(
     const std::vector<Vec>& y, std::size_t f, double delta, double p,
     double tol = kTol, GeometryWorkspace& ws = GeometryWorkspace::local());
 
-/// A point of Gamma_(delta,2)(Y) via cyclic projections seeded at the
-/// centroid; nullopt when no witness was found (empty or budget exhausted).
-std::optional<Vec> gamma_delta2_point(const std::vector<Vec>& y, std::size_t f,
-                                      double delta, double tol = kTol);
-
 /// max_i dist_p(u, H(T_i)) over the size-(|Y|-f) sub-multisets: u lies in
 /// Gamma_(delta,p)(Y) iff this is <= delta. For p in {1, inf} the per-subset
 /// distance LPs share one warm-started solver (same shape, basis reuse).
@@ -43,32 +45,24 @@ double gamma_excess(const Vec& u, const std::vector<Vec>& y, std::size_t f,
                     double p, double tol = kTol,
                     GeometryWorkspace& ws = GeometryWorkspace::local());
 
-/// Reusable feasibility probe for "is Gamma_(delta,p)(Y) non-empty?" across
-/// many values of delta (the delta* bisection). The LP is built once; delta
-/// only appears on the right-hand side of the norm rows, so after the first
-/// (cold) solve every probe is a warm dual-simplex re-solve on the
-/// workspace's dedicated bisection solver. Verdicts and witnesses are
-/// identical to gamma_delta_point_linear's (the solver falls back to a cold
-/// solve of the same LP whenever warm state is unusable, and infeasible
-/// verdicts keep the basis warm).
-///
-/// At most one probe per workspace may be alive at a time (it owns the
-/// workspace's bisect_solver slot); the borrowed `y` must outlive it.
-class GammaDeltaProbe {
- public:
-  GammaDeltaProbe(const std::vector<Vec>& y, std::size_t f, double p,
-                  double tol, GeometryWorkspace& ws = GeometryWorkspace::local());
+namespace detail {
 
-  /// Witness point of Gamma_(delta,p)(Y), or nullopt when empty. The first
-  /// call is a cold solve; later calls re-solve warm.
-  std::optional<Vec> probe(double delta);
-
- private:
-  lp::Model model_;
-  std::vector<lp::Model::RowId> delta_rows_;
-  lp::IncrementalSolver& solver_;
-  std::size_t d_ = 0;
-  bool primed_ = false;
+/// A point x of Gamma_(delta,p)(Y) for p in {1, inf} and its delta.
+struct GammaDeltaLpPoint {
+  Vec x;
+  double delta = 0.0;
 };
+
+/// Solves the Gamma_(delta,p)(Y) LP cold. With `delta` given it bounds the
+/// residual norms (membership; nullopt when empty). Without it, delta is a
+/// nonnegative column with objective 1, so the optimum is delta*_p(Y) and x
+/// a point of Gamma_(delta*,p)(Y); that LP is always feasible (the mean
+/// with a large delta) and bounded below by 0. Any other non-optimal status
+/// (iteration limit) throws numerical_error.
+std::optional<GammaDeltaLpPoint> solve_gamma_delta_lp(
+    const std::vector<Vec>& y, std::size_t f, double p,
+    std::optional<double> delta, double tol, GeometryWorkspace& ws);
+
+}  // namespace detail
 
 }  // namespace rbvc

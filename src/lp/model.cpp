@@ -17,8 +17,8 @@ Model::VarId Model::add_vars(std::size_t count, double objective_coeff,
   return first;
 }
 
-Model::RowId Model::add_constraint(const std::vector<Term>& terms, Rel rel,
-                                   double rhs) {
+void Model::add_constraint(const std::vector<Term>& terms, Rel rel,
+                           double rhs) {
   for (const Term& t : terms) {
     RBVC_REQUIRE(t.var < obj_.size(), "add_constraint: unknown variable");
   }
@@ -26,15 +26,6 @@ Model::RowId Model::add_constraint(const std::vector<Term>& terms, Rel rel,
   rels_.push_back(rel);
   rhs_.push_back(rhs);
   lowered_.valid = false;
-  return rows_.size() - 1;
-}
-
-void Model::set_rhs(RowId row, double rhs) {
-  RBVC_REQUIRE(row < rhs_.size(), "set_rhs: unknown row");
-  rhs_[row] = rhs;
-  // Standard-form rows are 1:1 with model rows, so the cached lowering only
-  // needs the matching b entry patched.
-  if (lowered_.valid) lowered_.b[row] = rhs;
 }
 
 void Model::set_objective_coeff(VarId v, double c) {
@@ -104,16 +95,6 @@ Solution Model::translate_back(const Solution& raw) const {
 Solution Model::solve(const SimplexOptions& opts) const {
   const Lowered& lo = lower();
   return translate_back(solve_standard(lo.a, lo.b, lo.c, opts));
-}
-
-Solution Model::solve_with(IncrementalSolver& solver) const {
-  const Lowered& lo = lower();
-  return translate_back(solver.solve(lo.a, lo.b, lo.c));
-}
-
-Solution Model::resolve_rhs_with(IncrementalSolver& solver) const {
-  const Lowered& lo = lower();
-  return translate_back(solver.resolve_rhs(lo.b));
 }
 
 Solution Model::solve_incremental(IncrementalSolver& solver) const {

@@ -5,16 +5,8 @@
 // surplus columns are added during lowering; the reported solution is in
 // terms of the modeled variables.
 //
-// The lowering (standard-form A, b, c) is cached: structural edits
-// (add_var, add_constraint, set_objective_coeff, set_sense) invalidate it,
-// while set_rhs patches the cached b in place. Combined with
-// IncrementalSolver this gives a cheap re-solve loop for models that only
-// move their right-hand sides (the delta column of the delta* bisection):
-//
-//   lp::IncrementalSolver solver;
-//   model.solve_with(solver);            // cold prime, retains the basis
-//   model.set_rhs(row, new_value);
-//   model.resolve_rhs_with(solver);      // warm dual-simplex re-solve
+// The lowering (standard-form A, b, c) is cached until the next edit
+// (add_var, add_constraint, set_objective_coeff, set_sense).
 #pragma once
 
 #include <vector>
@@ -29,7 +21,6 @@ enum class Rel { kLe, kGe, kEq };
 class Model {
  public:
   using VarId = std::size_t;
-  using RowId = std::size_t;
 
   /// Adds a variable with the given objective coefficient.
   /// `free` variables range over all reals; otherwise x >= 0.
@@ -41,16 +32,11 @@ class Model {
                  bool free = false);
 
   /// Adds the constraint  sum_i terms[i].coeff * x_{terms[i].var}  REL  rhs.
-  /// Returns the row's id for later set_rhs edits.
   struct Term {
     VarId var;
     double coeff;
   };
-  RowId add_constraint(const std::vector<Term>& terms, Rel rel, double rhs);
-
-  /// Changes a constraint's right-hand side without invalidating the cached
-  /// lowering (rows map 1:1 onto standard-form rows).
-  void set_rhs(RowId row, double rhs);
+  void add_constraint(const std::vector<Term>& terms, Rel rel, double rhs);
 
   void set_objective_coeff(VarId v, double c);
   void set_sense(Sense s) {
@@ -64,16 +50,6 @@ class Model {
   /// Lowers to standard form and solves. `objective` in the result is in the
   /// model's sense (i.e. negated back for maximization).
   Solution solve(const SimplexOptions& opts = {}) const;
-
-  /// Cold solve through an IncrementalSolver (uses the solver's options and
-  /// primes its retained basis for later warm re-solves).
-  Solution solve_with(IncrementalSolver& solver) const;
-
-  /// Warm re-solve after set_rhs edits only. The caller owns the contract
-  /// that the solver last saw this model's lowering (via solve_with /
-  /// solve_incremental / resolve_rhs_with); the solver falls back to a cold
-  /// solve when its state is not warm-eligible.
-  Solution resolve_rhs_with(IncrementalSolver& solver) const;
 
   /// Solve through IncrementalSolver::resolve: reuses the solver's retained
   /// basis when this model's lowering has the same shape (drop-f subset

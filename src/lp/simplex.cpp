@@ -27,9 +27,7 @@ namespace detail {
 
 // Dense tableau state. Rows are constraint rows; two separate reduced-cost
 // rows (phase 1 and phase 2) are updated through every pivot so the phase
-// switch is free. The artificial columns always hold B^{-1} (times the
-// initial row signs), which is what makes the warm RHS update possible
-// without a separate factorization.
+// switch is free.
 //
 // The object is reusable: init() re-fills the existing storage, so a
 // retained Tableau inside an IncrementalSolver allocates only when the
@@ -48,11 +46,9 @@ class Tableau {
     pivots_ = 0;
     rows_.resize(m_);
     basis_.resize(m_);
-    signs_.resize(m_);
     for (std::size_t i = 0; i < m_; ++i) {
       rows_[i].assign(total_ + 1, 0.0);
       const double s = (b[i] < 0.0) ? -1.0 : 1.0;
-      signs_[i] = s;
       for (std::size_t j = 0; j < n_; ++j) rows_[i][j] = s * a(i, j);
       rows_[i][n_ + i] = 1.0;  // artificial
       rows_[i][total_] = s * b[i];
@@ -85,7 +81,6 @@ class Tableau {
     rows_dropped_ = false;
     pivots_ = 0;
     basis_ = basis;
-    signs_.assign(m_, 1.0);
     Matrix bmat(m_, m_);
     for (std::size_t k = 0; k < m_; ++k) {
       for (std::size_t i = 0; i < m_; ++i) bmat(i, k) = a(i, basis[k]);
@@ -185,25 +180,6 @@ class Tableau {
       pivot(leave, enter);
     }
     return Status::kIterLimit;
-  }
-
-  // Recomputes the RHS column (and the phase-2 objective entry) for a new
-  // b, reading B^{-1} out of the artificial columns. Only valid while no
-  // redundant rows were dropped (rows_.size() == m_).
-  void warm_rhs(const Vec& b) {
-    for (std::size_t i = 0; i < m_; ++i) {
-      auto& row = rows_[i];
-      double acc = 0.0;
-      for (std::size_t j = 0; j < m_; ++j) {
-        acc += row[n_ + j] * signs_[j] * b[j];
-      }
-      row[total_] = acc;
-    }
-    double acc = 0.0;
-    for (std::size_t j = 0; j < m_; ++j) {
-      acc += cost2_[n_ + j] * signs_[j] * b[j];
-    }
-    cost2_[total_] = acc;
   }
 
   double phase1_objective() const { return -cost1_[total_]; }
@@ -330,7 +306,6 @@ class Tableau {
   bool rows_dropped_ = false;
   std::vector<std::vector<double>> rows_;
   std::vector<std::size_t> basis_;
-  std::vector<double> signs_;
   std::vector<double> cost1_, cost2_;
 };
 
@@ -441,11 +416,9 @@ Solution IncrementalSolver::cold(const Matrix& a, const Vec& b, const Vec& c,
   Solution sol = run_cold(*tab_, b, opts_);
   record_outcome(sol, tab_->pivots());
   // Warm-eligible only from a clean optimum with the full row set intact
-  // (deleted redundant rows break the B^{-1} readout and the row/b
-  // alignment that resolve_rhs depends on).
+  // (a basis over deleted redundant rows cannot be refactorized against
+  // the next problem's full-height columns).
   warm_ok_ = sol.status == Status::kOptimal && !tab_->rows_dropped();
-  if (&a_ != &a) a_ = a;
-  if (&c_ != &c) c_ = c;
   return sol;
 }
 
@@ -453,36 +426,6 @@ Solution IncrementalSolver::solve(const Matrix& a, const Vec& b,
                                   const Vec& c) {
   check_shapes(a, b, c);
   return cold(a, b, c, nullptr);
-}
-
-Solution IncrementalSolver::resolve_rhs(const Vec& b) {
-  RBVC_REQUIRE(has_state_, "resolve_rhs: no prior solve");
-  obs::Registry& reg = obs::global();
-  reg.counter("lp.warm.attempts").inc();
-  if (!warm_ok_) return cold(a_, b, c_, "not_warm");
-  if (b.size() != tab_->rows()) return cold(a_, b, c_, "dim_change");
-
-  obs::ScopedTimer timer(reg, "lp.seconds");
-  const std::size_t pivots_before = tab_->pivots();
-  tab_->warm_rhs(b);
-  const Status st = tab_->run_dual();
-  const std::size_t dual_pivots = tab_->pivots() - pivots_before;
-  reg.counter("lp.warm.dual_pivots").inc(dual_pivots);
-  if (st == Status::kIterLimit) {
-    // Dual pivoting stalled (degenerate cycling / tolerance escalation):
-    // fall back to a trusted cold solve.
-    return cold(a_, b, c_, "iter_limit");
-  }
-  reg.counter("lp.warm.hits").inc();
-  Solution sol;
-  sol.status = st;
-  if (st == Status::kOptimal) {
-    sol.objective = tab_->phase2_objective();
-    sol.x = tab_->extract_x();
-  }
-  // Both outcomes leave a dual-feasible tableau behind: stay warm.
-  record_outcome(sol, dual_pivots);
-  return sol;
 }
 
 Solution IncrementalSolver::resolve(const Matrix& a, const Vec& b,
@@ -538,8 +481,6 @@ Solution IncrementalSolver::resolve(const Matrix& a, const Vec& b,
   // Optimal leaves a dual-feasible optimum; a dual-simplex infeasibility
   // verdict also leaves a dual-feasible tableau. Unbounded does not.
   warm_ok_ = st == Status::kOptimal || st == Status::kInfeasible;
-  a_ = a;
-  c_ = c;
   record_outcome(sol, warm_pivots);
   return sol;
 }

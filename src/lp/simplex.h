@@ -11,13 +11,12 @@
 // L1/Linf distances) reduce to this solver via lp::Model.
 //
 // IncrementalSolver adds warm starting on top of the same tableau core: it
-// retains the final basis and tableau across solves and supports two cheap
-// re-solve edits -- a pure RHS perturbation (the delta column of the delta*
-// bisection) resolved by dual-simplex steps, and a same-shape matrix swap
-// (moving between drop-f constraint blocks) resolved by refactorizing the
-// retained basis against the new columns. Both fall back to a full cold
-// solve when the retained state is unusable, recording the reason in the
-// lp.warm.fallback.<reason> counters (see docs/OBSERVABILITY.md).
+// retains the final basis and tableau across solves and re-solves a
+// same-shape matrix swap (moving between drop-f constraint blocks) by
+// refactorizing the retained basis against the new columns. It falls back
+// to a full cold solve when the retained state is unusable, recording the
+// reason in the lp.warm.fallback.<reason> counters (see
+// docs/OBSERVABILITY.md).
 #pragma once
 
 #include <memory>
@@ -62,13 +61,6 @@ class Tableau;
 ///   * solve() is a cold solve identical in outcome to solve_standard(),
 ///     but it keeps the final tableau. The state is warm-eligible only when
 ///     the solve ended kOptimal with no redundant rows deleted.
-///   * resolve_rhs(b) re-solves after changing ONLY b (same A and c; the
-///     caller owns that contract -- dimensions are checked, coefficients
-///     are not). The retained optimal basis stays dual-feasible, so a few
-///     dual-simplex pivots restore primal feasibility. A kInfeasible
-///     verdict keeps the state warm (the basis is still dual-feasible),
-///     which is what lets a feasibility bisection stay warm across both
-///     feasible and infeasible probes.
 ///   * resolve(a, b, c) re-solves a same-shape problem by refactorizing
 ///     the retained basis against the new columns (LU), then finishing
 ///     with primal or dual pivots depending on which feasibility survived
@@ -90,11 +82,6 @@ class IncrementalSolver {
 
   /// Cold solve; retains the final tableau for subsequent warm re-solves.
   Solution solve(const Matrix& a, const Vec& b, const Vec& c);
-
-  /// Warm re-solve after an RHS-only edit. Requires b.size() to match the
-  /// retained problem's row count; falls back to a cold solve of the
-  /// retained (A, c) with the new b when the state is not warm-eligible.
-  Solution resolve_rhs(const Vec& b);
 
   /// Warm re-solve of a same-shape problem via basis refactorization;
   /// falls back to a cold solve otherwise. A fresh solver (no retained
@@ -118,8 +105,6 @@ class IncrementalSolver {
 
   SimplexOptions opts_;
   std::unique_ptr<detail::Tableau> tab_;
-  Matrix a_;  // retained problem (for resolve_rhs cold fallbacks)
-  Vec c_;
   bool warm_ok_ = false;
   bool has_state_ = false;  // any prior solve (even a failed one)
 };

@@ -42,13 +42,16 @@ class Mailbox {
   /// Any thread. Publishes the message and wakes one pending pop().
   void push(sim::Message m) {
     Node* node = new Node{std::move(m), nullptr, obs::events::now_ns()};
+    // Count before publishing: the consumer can scoop and pop the node as
+    // soon as the CAS lands, and its decrement must not run first (depth()
+    // would wrap to 2^64-1).
+    depth_.fetch_add(1, std::memory_order_relaxed);
     Node* old = head_.load(std::memory_order_relaxed);
     do {
       node->next = old;
     } while (!head_.compare_exchange_weak(old, node,
                                           std::memory_order_release,
                                           std::memory_order_relaxed));
-    depth_.fetch_add(1, std::memory_order_relaxed);
     sem_.release();
   }
 

@@ -30,7 +30,6 @@
 #include "geometry/tverberg.h"
 
 #include "opt/minimax.h"
-#include "opt/pocs.h"
 
 #include "hull/delta_star.h"
 #include "hull/gamma.h"

@@ -97,7 +97,7 @@ TEST(CrossValidationCaratheodory, SupportAgreesWithLp) {
 }
 
 TEST(CrossValidationDeltaStar, ThreeEnginesOneSimplex) {
-  // Closed form (inradius), LP bisection (Linf scaled), and minimax all
+  // Closed form (inradius), the delta LP (Linf scaled), and minimax all
   // describe delta* of the same simplex consistently.
   Rng rng(1229);
   const auto s = workload::random_simplex(rng, 3);

@@ -78,15 +78,6 @@ TEST(GammaTest, DeltaL1Witness) {
   EXPECT_LE(gamma_excess(*w, verts, 1, 1.0), 5.0 + 1e-6);
 }
 
-TEST(GammaTest, Delta2PocsWitness) {
-  Rng rng(191);
-  const auto verts = workload::random_simplex(rng, 3);
-  // At a generous delta the POCS witness must exist and verify.
-  const auto w = gamma_delta2_point(verts, 1, 5.0);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_LE(gamma_excess(*w, verts, 1, 2.0), 5.0 + 1e-4);
-}
-
 TEST(GammaTest, GammaPointDeterministic) {
   Rng rng(193);
   const auto y = workload::gaussian_cloud(rng, 6, 2);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -90,6 +91,39 @@ TEST(Mailbox, ManyProducersLoseNothing) {
   }
   for (auto& t : threads) t.join();
   EXPECT_FALSE(mb.pop(0).has_value());
+}
+
+TEST(Mailbox, DepthNeverExceedsPushesIssued) {
+  // depth() is read after every pop while producers race the consumer. A
+  // push that published its node before counting it lets the consumer's
+  // decrement land first, and depth() wraps to 2^64-1.
+  Mailbox mb;
+  constexpr int kProducers = 6;
+  constexpr int kEach = 4000;
+  std::atomic<std::size_t> issued{0};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&mb, &issued, p] {
+      for (int i = 0; i < kEach; ++i) {
+        issued.fetch_add(1);
+        mb.push(Message("m", {p, i}));
+      }
+    });
+  }
+  std::size_t worst = 0;
+  bool bounded = true;
+  for (int got = 0; got < kProducers * kEach; ++got) {
+    auto m = mb.pop(5000);
+    ASSERT_TRUE(m.has_value()) << "lost messages after " << got;
+    const std::size_t depth = mb.depth();
+    if (depth > issued.load()) {
+      bounded = false;
+      worst = std::max(worst, depth);
+    }
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_TRUE(bounded) << "depth() read " << worst << " after a pop";
+  EXPECT_EQ(mb.depth(), 0u);
 }
 
 TEST(LocalBusTest, RoutesAndStampsSender) {
