@@ -13,7 +13,6 @@
 #include "hull/gamma.h"
 #include "geometry/hull.h"
 #include "hull/psi.h"
-#include "obs/metrics.h"
 #include "workload/generators.h"
 
 namespace {
@@ -21,24 +20,14 @@ namespace {
 using namespace rbvc;
 
 // The bisection delta* algorithm: gamma precheck, then a fresh Gamma_delta
-// LP built and cold-solved per bisection probe, with the initial upper
-// bound also computed via per-subset cold LPs (no shared solver). Kept
-// here as the baseline the one-LP delta_star_linear is measured against.
-double gamma_excess_cold(const Vec& u, const std::vector<Vec>& y,
-                         std::size_t f, double p) {
-  double worst = 0.0;
-  for (const auto& t : drop_f_subsets(y, f)) {
-    worst = std::max(worst,
-                     detail::lp_projection_via_lp(u, t, p, kTol).distance);
-  }
-  return worst;
-}
-
+// LP built and cold-solved per bisection probe, starting from the
+// gamma_excess of the mean. Kept here as the baseline the one-LP
+// delta_star_linear is measured against.
 double delta_star_linear_cold(const std::vector<Vec>& s, std::size_t f,
                               double p) {
   if (gamma_point(s, f)) return 0.0;
   double lo = 0.0;
-  double hi = gamma_excess_cold(mean(s), s, f, p);
+  double hi = gamma_excess(mean(s), s, f, p);
   const double scale = std::max(1.0, hi);
   while (hi - lo > kTol * scale) {
     const double mid = 0.5 * (lo + hi);
@@ -128,13 +117,7 @@ void report() {
     }
     const double lp_s = seconds(clock::now() - lp_t0);
 
-    // Certify every witness with gamma_excess, the remaining warm path
-    // (drop-f subset swaps). This runs in the report phase so the
-    // lp.warm.* counters land in the metrics JSON even when the timed
-    // iterations are filtered out.
-    obs::Registry& reg = obs::global();
-    const std::uint64_t attempts0 = reg.counter("lp.warm.attempts").value();
-    const std::uint64_t hits0 = reg.counter("lp.warm.hits").value();
+    // Certify every witness with gamma_excess.
     double worst_slack = 0.0;
     for (std::size_t i = 0; i < kEpisodes; ++i) {
       worst_slack = std::max(
@@ -142,14 +125,6 @@ void report() {
                                     kInfNorm) -
                            results[i].value);
     }
-    const std::uint64_t attempts =
-        reg.counter("lp.warm.attempts").value() - attempts0;
-    const std::uint64_t hits = reg.counter("lp.warm.hits").value() - hits0;
-    // Workload-scoped copies of the counters, so the metrics JSON reports
-    // the subset-swap hit rate separately from whatever else in the
-    // process touched the warm solver.
-    reg.counter("bench.gamma_excess.warm.attempts").inc(attempts);
-    reg.counter("bench.gamma_excess.warm.hits").inc(hits);
 
     rbvc::bench::Table t({"path", "episodes", "time (s)", "episodes/s"});
     t.add_row({"cold per-probe bisection", std::to_string(kEpisodes),
@@ -161,11 +136,8 @@ void report() {
     t.print("delta* Linf episodes, --jobs 1");
     std::printf("one-LP speedup: %.2fx   |sum diff|: %.3g\n", cold_s / lp_s,
                 std::abs(cold_acc - lp_acc));
-    std::printf(
-        "gamma_excess witness check: max(excess - delta*) = %.3g, "
-        "subset-swap warm hits %llu/%llu\n",
-        worst_slack, static_cast<unsigned long long>(hits),
-        static_cast<unsigned long long>(attempts));
+    std::printf("gamma_excess witness check: max(excess - delta*) = %.3g\n",
+                worst_slack);
   }
 }
 

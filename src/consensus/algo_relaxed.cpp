@@ -4,17 +4,15 @@ namespace rbvc::consensus {
 
 protocols::DecisionFn algo_decision(std::size_t f, double tol,
                                     MinimaxOptions opts) {
-  // The lambda may be shared across concurrently-executing episodes, so it
-  // picks up the executing thread's workspace rather than capturing one.
   return [f, tol, opts](const std::vector<Vec>& s) -> Vec {
-    return delta_star_2(s, f, tol, opts, GeometryWorkspace::local()).point;
+    return delta_star_2(s, f, tol, opts).point;
   };
 }
 
 protocols::DecisionFn algo_decision_linear(std::size_t f, double p,
                                            double tol) {
   return [f, p, tol](const std::vector<Vec>& s) -> Vec {
-    return delta_star_linear(s, f, p, tol, GeometryWorkspace::local()).point;
+    return delta_star_linear(s, f, p, tol).point;
   };
 }
 

@@ -74,24 +74,21 @@ std::vector<Vec> AsyncAveragingProcess::values_for(
 
 Vec AsyncAveragingProcess::rule_value(
     const std::vector<Vec>& view_values) const {
-  // Thread-local workspace: verification recomputes rule values on other
-  // processes (possibly other threads), and the workspace contract keeps
-  // results history-free, so both computations match bit-for-bit.
-  GeometryWorkspace& ws = GeometryWorkspace::local();
+  // Verification recomputes rule values on other processes (possibly other
+  // threads); the geometry entry points keep no state between calls, so
+  // both computations match bit-for-bit.
   switch (prm_.rule) {
     case Round0Rule::kExactGamma: {
-      auto g = gamma_point(view_values, prm_.f, prm_.tol, ws);
+      auto g = gamma_point(view_values, prm_.f, prm_.tol);
       if (!g) {
         throw numerical_error("async exact baseline: Gamma(view) empty");
       }
       return *g;
     }
     case Round0Rule::kRelaxedL2:
-      return delta_star_2(view_values, prm_.f, prm_.tol, prm_.minimax, ws)
-          .point;
+      return delta_star_2(view_values, prm_.f, prm_.tol, prm_.minimax).point;
     case Round0Rule::kRelaxedLinf:
-      return delta_star_linear(view_values, prm_.f, kInfNorm, prm_.tol, ws)
-          .point;
+      return delta_star_linear(view_values, prm_.f, kInfNorm, prm_.tol).point;
   }
   throw invalid_argument("unknown round-0 rule");
 }
@@ -191,8 +188,7 @@ void AsyncAveragingProcess::advance(protocols::Outbox& out) {
     if (cur_ == 0 && prm_.rule != Round0Rule::kExactGamma) {
       round0_delta_ = gamma_excess(
           next, base, prm_.f,
-          prm_.rule == Round0Rule::kRelaxedL2 ? 2.0 : kInfNorm, prm_.tol,
-          GeometryWorkspace::local());
+          prm_.rule == Round0Rule::kRelaxedL2 ? 2.0 : kInfNorm, prm_.tol);
     }
     history_.push_back(next);
 

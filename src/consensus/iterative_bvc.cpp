@@ -40,8 +40,7 @@ Vec IterativeBvcProcess::update(const std::vector<Vec>& received) const {
   // degenerate round) the process holds its value -- holding is always
   // valid.
   if (received.size() > prm_.f) {
-    if (auto g = gamma_point(received, prm_.f, prm_.tol,
-                             GeometryWorkspace::local())) {
+    if (auto g = gamma_point(received, prm_.f, prm_.tol)) {
       return *g;
     }
   }

@@ -24,7 +24,7 @@ HullProjection projection_from_coeffs(const Vec& u, PointView pts, Vec coeffs,
 }  // namespace
 
 HullProjection lp_projection_via_lp(const Vec& u, PointView pts, double p,
-                                    double tol, lp::IncrementalSolver* warm) {
+                                    double tol) {
   RBVC_REQUIRE(p == 1.0 || p >= kInfNorm,
                "lp_projection_via_lp: only L1 and Linf are linear");
   RBVC_REQUIRE(!pts.empty(), "lp_projection_via_lp: empty point set");
@@ -53,13 +53,7 @@ HullProjection lp_projection_via_lp(const Vec& u, PointView pts, double p,
 
   lp::SimplexOptions opts;
   opts.tol = std::min(tol, 1e-8);
-  lp::Solution sol;
-  if (warm) {
-    warm->set_options(opts);
-    sol = m.solve_incremental(*warm);
-  } else {
-    sol = m.solve(opts);
-  }
+  const lp::Solution sol = m.solve(opts);
   RBVC_REQUIRE(sol.status == lp::Status::kOptimal,
                "lp_projection_via_lp: solver failed");
   Vec coeffs(sol.x.begin(), sol.x.begin() + static_cast<std::ptrdiff_t>(pts.size()));

@@ -16,10 +16,6 @@
 
 namespace rbvc {
 
-namespace lp {
-class IncrementalSolver;
-}  // namespace lp
-
 /// Result of projecting a point onto a convex hull.
 struct HullProjection {
   double distance = 0.0;  // ||u - point||_p
@@ -42,12 +38,9 @@ double distance_to_hull(const Vec& u, PointView pts, double p,
 /// Internal entry points, exposed for tests and the ablation bench (E14).
 namespace detail {
 HullProjection wolfe_min_norm(const Vec& u, PointView pts, double tol);
-/// p in {1, inf}. When `warm` is non-null the LP is solved through it
-/// (IncrementalSolver::resolve): cold on the first use after a reset, then
-/// reusing the retained basis across same-shape subset swaps.
+/// p in {1, inf}: one LP over (lambda, residual bounds), solved cold.
 HullProjection lp_projection_via_lp(const Vec& u, PointView pts, double p,
-                                    double tol,
-                                    lp::IncrementalSolver* warm = nullptr);
+                                    double tol);
 HullProjection lp_projection_frank_wolfe(const Vec& u, PointView pts, double p,
                                          std::size_t max_iters = 2'000);
 }  // namespace detail

@@ -30,13 +30,26 @@ void record_call(const DeltaStarResult& out) {
       .inc();
 }
 
-// Builds the span projection into the workspace's reusable SpanFrame slot
-// (see workspace.h for the frame's semantics).
-SpanFrame& make_frame(const std::vector<Vec>& s, double tol,
-                      GeometryWorkspace& ws) {
-  SpanFrame& fr = ws.span_frame();
+// Isometric coordinates of a point set within its own affine span
+// (translate by the last point, express in an orthonormal basis). Valid for
+// the L2 paths only: orthogonal projection preserves Euclidean distances
+// inside the span but not other Lp norms.
+struct SpanFrame {
+  Vec origin;
+  std::vector<Vec> basis;   // orthonormal
+  std::vector<Vec> coords;  // projected points, dimension basis.size()
+
+  Vec lift(const Vec& c) const {
+    Vec x = origin;
+    for (std::size_t j = 0; j < basis.size(); ++j) axpy(c[j], basis[j], x);
+    return x;
+  }
+};
+
+SpanFrame make_frame(const std::vector<Vec>& s, double tol) {
+  SpanFrame fr;
   fr.origin = s.back();
-  Vec& tmp = ws.scratch_vec();
+  Vec tmp;
   std::vector<Vec> diffs;
   diffs.reserve(s.size() - 1);
   for (std::size_t i = 0; i + 1 < s.size(); ++i) {
@@ -44,7 +57,6 @@ SpanFrame& make_frame(const std::vector<Vec>& s, double tol,
     diffs.push_back(tmp);
   }
   fr.basis = orthonormal_basis(diffs, tol);
-  fr.coords.clear();
   fr.coords.reserve(s.size());
   for (const Vec& v : s) {
     sub_into(v, fr.origin, tmp);
@@ -56,13 +68,12 @@ SpanFrame& make_frame(const std::vector<Vec>& s, double tol,
 }  // namespace
 
 DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
-                             double tol, const MinimaxOptions& opts,
-                             GeometryWorkspace& ws) {
+                             double tol, const MinimaxOptions& opts) {
   RBVC_REQUIRE(f >= 1 && f < s.size(), "delta_star_2: need 1 <= f < |S|");
   obs::ScopedTimer timer(obs::global(), "geom.delta_star.seconds");
   DeltaStarResult out;
 
-  const SpanFrame& fr = make_frame(s, tol, ws);
+  const SpanFrame fr = make_frame(s, tol);
   const std::size_t dprime = fr.basis.size();
   if (dprime == 0) {  // all inputs identical
     out.value = 0.0;
@@ -74,7 +85,7 @@ DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
   }
 
   // Case 1: the classic safe area Gamma(S) is already non-empty.
-  if (auto g = hull_intersection_point(ws.drop_f_views(fr.coords, f), tol)) {
+  if (auto g = hull_intersection_point(drop_f_views(fr.coords, f), tol)) {
     out.value = 0.0;
     out.point = fr.lift(*g);
     out.exact = true;
@@ -97,7 +108,7 @@ DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
   }
 
   // Case 3: numerical min-max over the drop-f hulls, inside the span.
-  MinimaxResult mm = min_max_hull_distance(ws.drop_f_views(fr.coords, f),
+  MinimaxResult mm = min_max_hull_distance(drop_f_views(fr.coords, f),
                                            mean(fr.coords), opts);
   out.value = mm.value;
   out.point = fr.lift(mm.point);
@@ -108,13 +119,13 @@ DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
 }
 
 DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
-                                  double p, double tol, GeometryWorkspace& ws) {
+                                  double p, double tol) {
   RBVC_REQUIRE(f >= 1 && f < s.size(), "delta_star_linear: need 1 <= f < |S|");
   RBVC_REQUIRE(p == 1.0 || p >= kInfNorm,
                "delta_star_linear: p must be 1 or inf");
   obs::ScopedTimer timer(obs::global(), "geom.delta_star.seconds");
   DeltaStarResult out;
-  if (auto g = gamma_point(s, f, tol, ws)) {
+  if (auto g = gamma_point(s, f, tol)) {
     out.value = 0.0;
     out.point = *g;
     out.exact = true;
@@ -124,7 +135,7 @@ DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
   }
   // Gamma_(delta,p)(S) is polyhedral in (x, delta) for p in {1, inf}, so
   // delta* is the optimum of one LP with delta as a column.
-  auto lp = detail::solve_gamma_delta_lp(s, f, p, std::nullopt, tol, ws);
+  auto lp = detail::solve_gamma_delta_lp(s, f, p, std::nullopt, tol);
   out.value = lp->delta;
   out.point = std::move(lp->x);
   out.exact = true;
@@ -134,14 +145,13 @@ DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
 }
 
 DeltaStarResult delta_star_p(const std::vector<Vec>& s, std::size_t f,
-                             double p, double tol, MinimaxOptions opts,
-                             GeometryWorkspace& ws) {
+                             double p, double tol, MinimaxOptions opts) {
   RBVC_REQUIRE(f >= 1 && f < s.size(), "delta_star_p: need 1 <= f < |S|");
-  if (p == 2.0) return delta_star_2(s, f, tol, opts, ws);
-  if (p == 1.0 || p >= kInfNorm) return delta_star_linear(s, f, p, tol, ws);
+  if (p == 2.0) return delta_star_2(s, f, tol, opts);
+  if (p == 1.0 || p >= kInfNorm) return delta_star_linear(s, f, p, tol);
   obs::ScopedTimer timer(obs::global(), "geom.delta_star.seconds");
   DeltaStarResult out;
-  if (auto g = gamma_point(s, f, tol, ws)) {
+  if (auto g = gamma_point(s, f, tol)) {
     out.value = 0.0;
     out.point = *g;
     out.exact = true;
@@ -152,7 +162,7 @@ DeltaStarResult delta_star_p(const std::vector<Vec>& s, std::size_t f,
   opts.p = p;
   // Lp norms are not preserved by orthogonal projection, so run the minimax
   // in the ambient space.
-  MinimaxResult mm = min_max_hull_distance(ws.drop_f_views(s, f), mean(s), opts);
+  MinimaxResult mm = min_max_hull_distance(drop_f_views(s, f), mean(s), opts);
   out.value = mm.value;
   out.point = mm.point;
   out.exact = false;

@@ -16,7 +16,6 @@
 #include <optional>
 
 #include "geometry/simplex_geometry.h"
-#include "geometry/workspace.h"
 #include "hull/gamma.h"
 #include "opt/minimax.h"
 
@@ -33,25 +32,22 @@ struct DeltaStarResult {
   } method = Method::kNumerical;
 };
 
-/// delta*_2(S) for f faults. Requires 1 <= f < |S|. All entry points thread
-/// a GeometryWorkspace (subset index views, reusable SpanFrame storage,
-/// warm-started LP solvers); results do not depend on workspace history.
+/// delta*_2(S) for f faults. Requires 1 <= f < |S|. Like every entry point
+/// here, the result is a pure function of the arguments: no solver or
+/// scratch state outlives a call.
 DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
                              double tol = kTol,
-                             const MinimaxOptions& opts = {},
-                             GeometryWorkspace& ws = GeometryWorkspace::local());
+                             const MinimaxOptions& opts = {});
 
 /// delta*_p(S) for p = 1 or inf: the optimum of the Gamma_(delta,p) LP
 /// with delta as a column, solved cold; exact. Throws numerical_error if the
 /// simplex stops short of an optimum (iteration limit).
-DeltaStarResult delta_star_linear(
-    const std::vector<Vec>& s, std::size_t f, double p, double tol = kTol,
-    GeometryWorkspace& ws = GeometryWorkspace::local());
+DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
+                                  double p, double tol = kTol);
 
 /// delta*_p(S) for general finite p >= 1: numerical minimax upper bound.
 DeltaStarResult delta_star_p(const std::vector<Vec>& s, std::size_t f,
                              double p, double tol = kTol,
-                             MinimaxOptions opts = {},
-                             GeometryWorkspace& ws = GeometryWorkspace::local());
+                             MinimaxOptions opts = {});
 
 }  // namespace rbvc

@@ -7,16 +7,16 @@
 // |Y| >= (d+1)f + 1 by Tverberg); the (delta,p) variant is what ALGO
 // (Sec. 9) intersects after relaxation.
 //
-// Each query threads a GeometryWorkspace (defaulting to the thread-local
-// one) for subset index views and warm-started LP re-solves; results are
-// independent of workspace history (solvers are reset per entry point).
+// Every LP here is solved cold and nothing but the drop-f index memo
+// (drop_f_views) outlives a call, so results are a pure function of the
+// arguments.
 //
 // For p in {1, inf} every constraint dist_p(x, H(T)) <= delta is linear in
 // (x, delta), so Gamma_(delta,p)(Y) is the projection of one polyhedron:
-// the intersection-of-hulls LP of Vaidya & Garg with a split residual per
-// subset whose p-norm is bounded by delta. That single encoding serves
-// both the fixed-delta membership query below and delta*_p (delta_star.h),
-// which makes delta a column and minimizes it.
+// the intersection-of-hulls LP of Vaidya & Garg with one
+// detail::add_delta_p_membership block per subset. That single encoding
+// serves both the fixed-delta membership query below and delta*_p
+// (delta_star.h), which makes delta a column and minimizes it.
 #pragma once
 
 #include <optional>
@@ -29,21 +29,19 @@ namespace rbvc {
 /// A point of Gamma(Y) (deterministic for fixed input), or nullopt when the
 /// intersection is empty.
 std::optional<Vec> gamma_point(const std::vector<Vec>& y, std::size_t f,
-                               double tol = kTol,
-                               GeometryWorkspace& ws = GeometryWorkspace::local());
+                               double tol = kTol);
 
 /// A point of Gamma_(delta,p)(Y) for p = 1 or p = inf (exact, via LP), or
 /// nullopt when empty.
-std::optional<Vec> gamma_delta_point_linear(
-    const std::vector<Vec>& y, std::size_t f, double delta, double p,
-    double tol = kTol, GeometryWorkspace& ws = GeometryWorkspace::local());
+std::optional<Vec> gamma_delta_point_linear(const std::vector<Vec>& y,
+                                            std::size_t f, double delta,
+                                            double p, double tol = kTol);
 
 /// max_i dist_p(u, H(T_i)) over the size-(|Y|-f) sub-multisets: u lies in
-/// Gamma_(delta,p)(Y) iff this is <= delta. For p in {1, inf} the per-subset
-/// distance LPs share one warm-started solver (same shape, basis reuse).
+/// Gamma_(delta,p)(Y) iff this is <= delta. For p in {1, inf} each subset
+/// distance is its own cold LP.
 double gamma_excess(const Vec& u, const std::vector<Vec>& y, std::size_t f,
-                    double p, double tol = kTol,
-                    GeometryWorkspace& ws = GeometryWorkspace::local());
+                    double p, double tol = kTol);
 
 namespace detail {
 
@@ -61,7 +59,7 @@ struct GammaDeltaLpPoint {
 /// (iteration limit) throws numerical_error.
 std::optional<GammaDeltaLpPoint> solve_gamma_delta_lp(
     const std::vector<Vec>& y, std::size_t f, double p,
-    std::optional<double> delta, double tol, GeometryWorkspace& ws);
+    std::optional<double> delta, double tol);
 
 }  // namespace detail
 

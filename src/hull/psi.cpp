@@ -57,50 +57,13 @@ void add_k_membership(lp::Model& m, VarId u0, std::size_t d,
   }
 }
 
-// Adds "the point at u0.. lies within delta of H(T) in the given norm
-// (p = 1 or inf)" to the model.
-void add_delta_membership(lp::Model& m, VarId u0, std::size_t d,
-                          const std::vector<Vec>& t, double delta, double p) {
-  RBVC_REQUIRE(p == 1.0 || p >= kInfNorm,
-               "psi: (delta,p) LP encoding needs p in {1, inf}");
-  RBVC_REQUIRE(delta >= 0.0, "psi: delta must be >= 0");
-  const auto lambda0 = m.add_vars(t.size());
-  const auto sp0 = m.add_vars(d);
-  const auto sm0 = m.add_vars(d);
-  for (std::size_t r = 0; r < d; ++r) {
-    std::vector<lp::Model::Term> row;
-    row.push_back({u0 + r, 1.0});
-    for (std::size_t j = 0; j < t.size(); ++j) {
-      row.push_back({lambda0 + j, -t[j][r]});
-    }
-    row.push_back({sp0 + r, -1.0});
-    row.push_back({sm0 + r, 1.0});
-    m.add_constraint(row, lp::Rel::kEq, 0.0);
-  }
-  std::vector<lp::Model::Term> sum_row;
-  for (std::size_t j = 0; j < t.size(); ++j) sum_row.push_back({lambda0 + j, 1.0});
-  m.add_constraint(sum_row, lp::Rel::kEq, 1.0);
-  if (p == 1.0) {
-    std::vector<lp::Model::Term> norm_row;
-    for (std::size_t r = 0; r < d; ++r) {
-      norm_row.push_back({sp0 + r, 1.0});
-      norm_row.push_back({sm0 + r, 1.0});
-    }
-    m.add_constraint(norm_row, lp::Rel::kLe, delta);
-  } else {
-    for (std::size_t r = 0; r < d; ++r) {
-      m.add_constraint({{sp0 + r, 1.0}, {sm0 + r, 1.0}}, lp::Rel::kLe, delta);
-    }
-  }
-}
-
 void add_spec(lp::Model& m, VarId u0, std::size_t d,
               const RelaxedIntersectionSpec& spec, double tol) {
   for (const auto& t : spec.parts) {
     if (spec.k >= 1) {
       add_k_membership(m, u0, d, t, spec.k, tol);
     } else {
-      add_delta_membership(m, u0, d, t, spec.delta, spec.p);
+      detail::add_delta_p_membership(m, u0, t, spec.p, spec.delta);
     }
   }
 }

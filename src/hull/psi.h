@@ -8,7 +8,8 @@
 //   k = 1 -> per-coordinate interval intersection (encoded as bounds)
 //   k = 2 -> halfplane constraints from the 2-D hulls of every projection
 //   k > 2 -> barycentric (lambda) blocks per (D, T) pair
-// For (delta,p) with p in {1, inf}, membership is linear as well.
+// For (delta,p) with p in {1, inf}, membership is linear as well, with the
+// same encoding as Gamma_(delta,p) (detail::add_delta_p_membership).
 //
 // `psi_point` answers "is the intersection non-empty (and give a witness)";
 // `linf_gap` answers "how far apart are two such intersections at minimum"

@@ -97,9 +97,4 @@ Solution Model::solve(const SimplexOptions& opts) const {
   return translate_back(solve_standard(lo.a, lo.b, lo.c, opts));
 }
 
-Solution Model::solve_incremental(IncrementalSolver& solver) const {
-  const Lowered& lo = lower();
-  return translate_back(solver.resolve(lo.a, lo.b, lo.c));
-}
-
 }  // namespace rbvc::lp

@@ -6,7 +6,8 @@
 // terms of the modeled variables.
 //
 // The lowering (standard-form A, b, c) is cached until the next edit
-// (add_var, add_constraint, set_objective_coeff, set_sense).
+// (add_var, add_constraint, set_objective_coeff, set_sense); each solve()
+// hands it to one cold solve_standard().
 #pragma once
 
 #include <vector>
@@ -50,11 +51,6 @@ class Model {
   /// Lowers to standard form and solves. `objective` in the result is in the
   /// model's sense (i.e. negated back for maximization).
   Solution solve(const SimplexOptions& opts = {}) const;
-
-  /// Solve through IncrementalSolver::resolve: reuses the solver's retained
-  /// basis when this model's lowering has the same shape (drop-f subset
-  /// swaps), cold otherwise.
-  Solution solve_incremental(IncrementalSolver& solver) const;
 
  private:
   struct Lowered {

@@ -12,8 +12,14 @@
 namespace rbvc::consensus {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so AlgoCase
+// has no implicit padding: the four bytes after the strategy are a named,
+// zeroed member instead of indeterminate ones.
 struct AlgoCase {
+  AlgoCase(workload::SyncStrategy s, std::uint64_t sd)
+      : strategy(s), seed(sd) {}
   workload::SyncStrategy strategy;
+  std::uint32_t zero_pad = 0;
   std::uint64_t seed;
 };
 

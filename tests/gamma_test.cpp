@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "geometry/hull.h"
+#include "hull/delta_star.h"
+#include "obs/metrics.h"
 #include "sim/rng.h"
 #include "workload/generators.h"
 
@@ -44,6 +48,45 @@ TEST(GammaTest, ExcessMatchesDefinition) {
     expect = std::max(expect, project_to_hull(u, t).distance);
   }
   EXPECT_NEAR(excess, expect, 1e-12);
+  // The LP norms, at f = 1 and f = 2, from the same point and the mean.
+  for (const Vec& v : {u, mean(y)}) {
+    for (const std::size_t f : {std::size_t{1}, std::size_t{2}}) {
+      for (const double p : {1.0, kInfNorm}) {
+        double expect_p = 0.0;
+        for (const auto& t : drop_f_subsets(y, f)) {
+          expect_p = std::max(expect_p, distance_to_hull(v, t, p));
+        }
+        EXPECT_NEAR(gamma_excess(v, y, f, p), expect_p, 1e-9)
+            << "f=" << f << " p=" << p;
+      }
+    }
+  }
+}
+
+TEST(GammaTest, EveryLpCountsAsOneSolve) {
+  // lp.solves counts every LP, so across delta*_inf and gamma_excess(p=inf)
+  // it grows by exactly as much as the lp.status.* outcomes together.
+  obs::Registry& reg = obs::global();
+  auto outcomes = [&reg] {
+    std::uint64_t total = 0;
+    for (const lp::Status s : {lp::Status::kOptimal, lp::Status::kInfeasible,
+                               lp::Status::kUnbounded, lp::Status::kIterLimit}) {
+      total += reg.counter(std::string("lp.status.") + lp::to_string(s))
+                   .value();
+    }
+    return total;
+  };
+  const std::uint64_t solves0 = reg.counter("lp.solves").value();
+  const std::uint64_t outcomes0 = outcomes();
+  Rng rng(191);
+  for (int rep = 0; rep < 20; ++rep) {
+    const auto view = workload::gaussian_cloud(rng, 5, 2);
+    const auto r = delta_star_linear(view, 2, kInfNorm);
+    (void)gamma_excess(r.point, view, 2, kInfNorm);
+  }
+  const std::uint64_t solves = reg.counter("lp.solves").value() - solves0;
+  EXPECT_GT(solves, 0u);
+  EXPECT_EQ(solves, outcomes() - outcomes0);
 }
 
 TEST(GammaTest, DeltaLinearFeasibilityThreshold) {

@@ -51,7 +51,14 @@ INSTANTIATE_TEST_SUITE_P(
 // Sweep 2: relaxed hull containment chain over workload shapes.
 // --------------------------------------------------------------------------
 
-enum class Shape { kGaussian, kSphere, kClustered, kDegenerate };
+// 64-bit so ShapeSeed has no padding: gtest names each case after the raw
+// bytes of its parameter, and padding bytes are indeterminate.
+enum class Shape : std::uint64_t {
+  kGaussian,
+  kSphere,
+  kClustered,
+  kDegenerate
+};
 
 struct ShapeSeed {
   Shape shape;

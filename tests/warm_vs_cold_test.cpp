@@ -1,9 +1,7 @@
-// Warm-started LP re-solves must be indistinguishable from cold solves:
-// identical feasibility verdicts, objectives within tolerance, certified
-// witnesses, and bitwise-deterministic results regardless of workspace
-// history or executor width (DESIGN.md "LP warm starts").
-#include <cstdlib>
-
+// delta*_1 / delta*_inf (one cold LP with delta as a column) must match a
+// cold per-probe bisection of the same LP, and geometry results must be
+// bitwise-deterministic regardless of earlier calls on the thread or
+// executor width (DESIGN.md "Cold LPs and history-free entry points").
 #include <gtest/gtest.h>
 
 #include "exec/parallel_executor.h"
@@ -13,59 +11,6 @@
 
 namespace rbvc {
 namespace {
-
-// A feasible standard-form LP: A is random and b = A x0 for a nonnegative
-// x0. Costs are nonnegative so the LP is never unbounded.
-struct RandomLp {
-  Matrix a;
-  Vec b;
-  Vec c;
-};
-
-RandomLp random_lp(Rng& rng, std::size_t m, std::size_t n) {
-  RandomLp lp{Matrix(m, n), Vec(m), Vec(n)};
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) lp.a(i, j) = rng.normal();
-  }
-  for (std::size_t j = 0; j < n; ++j) lp.c[j] = std::abs(rng.normal());
-  Vec x0(n);
-  for (std::size_t j = 0; j < n; ++j) x0[j] = std::abs(rng.normal());
-  for (std::size_t i = 0; i < m; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < n; ++j) s += lp.a(i, j) * x0[j];
-    lp.b[i] = s;
-  }
-  return lp;
-}
-
-void expect_matches_cold(const lp::Solution& warm, const lp::Solution& cold,
-                         const char* what) {
-  ASSERT_EQ(warm.status, cold.status) << what;
-  if (cold.status == lp::Status::kOptimal) {
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << what;
-  }
-}
-
-TEST(WarmVsColdTest, ResolveSubsetSwapMatchesCold) {
-  Rng rng(9011);
-  for (int rep = 0; rep < 20; ++rep) {
-    const std::size_t m = 4;
-    const std::size_t n = 7;
-    const RandomLp base = random_lp(rng, m, n);
-    lp::IncrementalSolver solver;
-    solver.solve(base.a, base.b, base.c);
-    for (int swap = 0; swap < 4; ++swap) {
-      // Same-shape problem sharing most coefficients: perturb one row.
-      RandomLp next = base;
-      const std::size_t row = static_cast<std::size_t>(swap) % m;
-      for (std::size_t j = 0; j < n; ++j) next.a(row, j) += 0.25 * rng.normal();
-      const lp::Solution warm_sol = solver.resolve(next.a, next.b, next.c);
-      expect_matches_cold(warm_sol,
-                          lp::solve_standard(next.a, next.b, next.c),
-                          "resolve subset swap");
-    }
-  }
-}
 
 // The reference delta*_p: bisection on delta with a fresh cold feasibility
 // LP per probe.
