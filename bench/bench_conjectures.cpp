@@ -70,10 +70,7 @@ void report() {
           const auto s = (wl[0] == 'g')
                              ? workload::gaussian_cloud(rng, c.n, c.d)
                              : workload::clustered(rng, c.n, c.d, 3.0);
-          MinimaxOptions opts;
-          opts.iters = 1200;
-          opts.polish_iters = 300;
-          const auto ds = delta_star_2(s, c.f, kTol, opts);
+          const auto ds = delta_star_2(s, c.f);
           const double denom = double(c.n / c.f) - 2.0;
           const double bound = worst_honest_maxedge(s, c.f, 2.0) / denom;
           max_ratio = std::max(max_ratio, ds.value / bound);
@@ -119,11 +116,8 @@ void BM_ConjectureGridPoint(benchmark::State& state) {
   Rng rng(5);
   const std::size_t d = 5, f = 2, n = static_cast<std::size_t>(state.range(0));
   const auto s = workload::gaussian_cloud(rng, n, d);
-  MinimaxOptions opts;
-  opts.iters = 400;
-  opts.polish_iters = 100;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(delta_star_2(s, f, kTol, opts).value);
+    benchmark::DoNotOptimize(delta_star_2(s, f).value);
   }
 }
 BENCHMARK(BM_ConjectureGridPoint)->Arg(7)->Arg(9)->Arg(11);

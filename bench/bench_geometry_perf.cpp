@@ -1,8 +1,13 @@
 // E14 -- Ablation of the geometry engines: the three point-to-hull distance
 // paths (Wolfe exact L2, LP exact L1/Linf, Frank-Wolfe iterative), the
-// delta* paths (closed-form inradius vs the delta LP vs cold bisection vs
-// minimax), and the Psi encodings (halfplane fast path vs barycentric
-// lambda-LP). Accuracy agreement is printed first; timings follow.
+// delta* paths (closed-form inradius vs the certified cutting-plane solver
+// vs minimax, the delta LP vs cold bisection), and the Psi encodings
+// (halfplane fast path vs barycentric lambda-LP). Accuracy agreement is
+// printed first; timings follow.
+//
+// The cutting-plane table sets two gauges that bench-smoke gates on:
+// bench.delta_star2.max_gap (largest upper - lower) and
+// bench.delta_star2.max_err (largest |upper - inradius| / max(1, inradius)).
 #include "bench_util.h"
 
 #include <chrono>
@@ -13,6 +18,8 @@
 #include "hull/gamma.h"
 #include "geometry/hull.h"
 #include "hull/psi.h"
+#include "obs/metrics.h"
+#include "opt/outer_approx.h"
 #include "workload/generators.h"
 
 namespace {
@@ -65,23 +72,46 @@ void report() {
   }
 
   {
-    rbvc::bench::Table t({"d", "inradius (closed form)",
-                          "minimax (numerical)", "rel err"});
+    // Lemma 13: on the drop-1 views of a simplex, delta*_2 is the inradius.
+    // Minimax (2000 + 400 iterations) runs at d = 7 only, for comparison.
+    using clock = std::chrono::steady_clock;
+    rbvc::bench::Table t({"d", "inradius (closed form)", "lower", "upper",
+                          "rounds", "ms", "minimax"});
     Rng rng(66);
-    for (std::size_t d : {3u, 5u, 7u}) {
+    double max_gap = 0.0;
+    double max_err = 0.0;
+    for (std::size_t d : {3u, 4u, 5u, 6u, 7u, 8u, 10u, 12u, 16u}) {
       const auto s = workload::random_simplex(rng, d);
-      const auto g = SimplexGeometry::build(s);
-      MinimaxOptions opts;
-      opts.iters = 2000;
-      opts.polish_iters = 400;
-      const auto mm = min_max_hull_distance(drop_f_subsets(s, 1), mean(s),
-                                            opts);
-      t.add_row({std::to_string(d), rbvc::bench::Table::num(g->inradius()),
-                 rbvc::bench::Table::num(mm.value),
-                 rbvc::bench::Table::num(
-                     std::abs(mm.value - g->inradius()) / g->inradius())});
+      const double r = SimplexGeometry::build(s)->inradius();
+      const auto t0 = clock::now();
+      const OuterApproxResult oa =
+          certified_min_max_hull_distance(drop_f_views(s, 1), mean(s));
+      const double ms =
+          std::chrono::duration<double, std::milli>(clock::now() - t0)
+              .count();
+      max_gap = std::max(max_gap, oa.upper - oa.lower);
+      max_err = std::max(max_err,
+                         std::abs(oa.upper - r) / std::max(1.0, r));
+      std::string mm = "-";
+      if (d == 7) {
+        MinimaxOptions opts;
+        opts.iters = 2000;
+        opts.polish_iters = 400;
+        mm = rbvc::bench::Table::num(
+            min_max_hull_distance(drop_f_views(s, 1), mean(s), opts).value);
+      }
+      t.add_row({std::to_string(d), rbvc::bench::Table::num(r, 12),
+                 rbvc::bench::Table::num(oa.lower, 12),
+                 rbvc::bench::Table::num(oa.upper, 12),
+                 std::to_string(oa.rounds), rbvc::bench::Table::num(ms),
+                 mm});
     }
-    t.print("delta* closed form vs numerical minimax");
+    t.print("delta*_2 closed form vs certified cutting planes");
+    std::printf("max gap (upper - lower): %.3g   max |upper - inradius| / "
+                "max(1, inradius): %.3g\n",
+                max_gap, max_err);
+    obs::global().gauge("bench.delta_star2.max_gap").set(max_gap);
+    obs::global().gauge("bench.delta_star2.max_err").set(max_err);
   }
 
   {

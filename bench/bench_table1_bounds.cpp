@@ -4,9 +4,9 @@
 //   f >= 2, n = (d+1)f  delta* < max-edge(E+)/(d-1)
 //
 // We regenerate the table empirically: sample random inputs, compute
-// delta*(S) (exact inradius path for the simplex case, numerical minimax
-// otherwise), and report the worst observed ratio delta*/bound -- the paper
-// predicts every ratio stays below 1.
+// delta*(S) (exact inradius path for the simplex case, the certified
+// cutting-plane solver otherwise), and report the worst observed ratio
+// delta*/bound -- the paper predicts every ratio stays below 1.
 #include "bench_util.h"
 
 #include <cmath>
@@ -87,7 +87,7 @@ void report() {
     t.print("Theorem 9: f=1, n=d+1 (random simplices)");
   }
 
-  // --- Row 1, f >= 2, n = (d+1)f (Theorem 12, numerical minimax path). ---
+  // --- Row 1, f >= 2, n = (d+1)f (Theorem 12, cutting-plane path). ---
   {
     rbvc::bench::Table t({"d", "f", "n", "reps", "mean delta*", "max ratio",
                           "bound form"});
@@ -106,10 +106,7 @@ void report() {
           const auto s = (wl[0] == 'g')
                              ? workload::gaussian_cloud(rng, n, c.d)
                              : workload::duplicated_simplex(rng, c.d, c.f);
-          MinimaxOptions opts;
-          opts.iters = 1500;
-          opts.polish_iters = 300;
-          const auto ds = delta_star_2(s, c.f, kTol, opts);
+          const auto ds = delta_star_2(s, c.f);
           sum += ds.value;
           const double bound =
               worst_honest_maxedge(s, c.f) / double(c.d - 1);
@@ -154,14 +151,11 @@ void BM_DeltaStarNumerical(benchmark::State& state) {
   Rng rng(2);
   const std::size_t f = 2, d = 3;
   const auto s = workload::gaussian_cloud(rng, (d + 1) * f, d);
-  MinimaxOptions opts;
-  opts.iters = static_cast<std::size_t>(state.range(0));
-  opts.polish_iters = 100;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(delta_star_2(s, f, kTol, opts).value);
+    benchmark::DoNotOptimize(delta_star_2(s, f).value);
   }
 }
-BENCHMARK(BM_DeltaStarNumerical)->Arg(200)->Arg(800);
+BENCHMARK(BM_DeltaStarNumerical);
 
 }  // namespace
 

@@ -2,10 +2,9 @@
 
 namespace rbvc::consensus {
 
-protocols::DecisionFn algo_decision(std::size_t f, double tol,
-                                    MinimaxOptions opts) {
-  return [f, tol, opts](const std::vector<Vec>& s) -> Vec {
-    return delta_star_2(s, f, tol, opts).point;
+protocols::DecisionFn algo_decision(std::size_t f, double tol) {
+  return [f, tol](const std::vector<Vec>& s) -> Vec {
+    return delta_star_2(s, f, tol).point;
   };
 }
 

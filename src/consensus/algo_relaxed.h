@@ -5,8 +5,8 @@
 //   Step 2: with the agreed multiset S, find the smallest delta for which
 //           Gamma_(delta,p)(S) is non-empty and deterministically pick a
 //           point of it (for p = 2: the simplex incenter when S is a full
-//           simplex with f = 1, an LP point when Gamma(S) is non-empty, a
-//           minimax point otherwise).
+//           simplex with f = 1, an LP point when Gamma(S) is non-empty, the
+//           witness of the certified cutting-plane solver otherwise).
 //
 // Theorems 9 and 12 bound the resulting delta by the honest-edge lengths;
 // the verifier recomputes the achieved delta to check those bounds.
@@ -18,8 +18,7 @@
 namespace rbvc::consensus {
 
 /// Decision rule implementing ALGO Step 2 under the L2 norm.
-protocols::DecisionFn algo_decision(std::size_t f, double tol = kTol,
-                                    MinimaxOptions opts = {});
+protocols::DecisionFn algo_decision(std::size_t f, double tol = kTol);
 
 /// ALGO Step 2 under L1 / Linf (one exact LP).
 protocols::DecisionFn algo_decision_linear(std::size_t f, double p,

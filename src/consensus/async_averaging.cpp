@@ -86,7 +86,7 @@ Vec AsyncAveragingProcess::rule_value(
       return *g;
     }
     case Round0Rule::kRelaxedL2:
-      return delta_star_2(view_values, prm_.f, prm_.tol, prm_.minimax).point;
+      return delta_star_2(view_values, prm_.f, prm_.tol).point;
     case Round0Rule::kRelaxedLinf:
       return delta_star_linear(view_values, prm_.f, kInfNorm, prm_.tol).point;
   }

@@ -59,8 +59,9 @@ class AsyncAveragingProcess : public sim::AsyncProcess {
     // harness to find and minimize. Production runs leave it 0.
     std::size_t quorum_override = 0;
     double tol = kTol;
-    // Deterministic minimax budget (identical at sender and verifier, so
-    // recomputation matches bit-for-bit; accuracy only affects delta).
+    // Unused by every round-0 rule: kRelaxedL2 runs delta_star_2's
+    // certified cutting-plane solver, which has no iteration budget. Kept
+    // so repro files keep their `minimax` line and older repros load.
     MinimaxOptions minimax{600, 200, kTol, 2.0};
   };
 

@@ -5,6 +5,7 @@
 #include "geometry/hull.h"
 #include "linalg/qr.h"
 #include "obs/metrics.h"
+#include "opt/outer_approx.h"
 
 namespace rbvc {
 
@@ -28,6 +29,14 @@ void record_call(const DeltaStarResult& out) {
   reg.counter(std::string("geom.delta_star.method.") +
               method_label(out.method))
       .inc();
+}
+
+// Once per call: by-name lookups take the registry mutex.
+void record_cut_work(const OuterApproxResult& oa) {
+  obs::Registry& reg = obs::global();
+  reg.counter("geom.delta_star.cut_rounds").inc(oa.rounds);
+  reg.counter("geom.delta_star.cuts").inc(oa.cuts);
+  if (!oa.closed) reg.counter("geom.delta_star.gap_open").inc();
 }
 
 // Isometric coordinates of a point set within its own affine span
@@ -68,7 +77,7 @@ SpanFrame make_frame(const std::vector<Vec>& s, double tol) {
 }  // namespace
 
 DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
-                             double tol, const MinimaxOptions& opts) {
+                             double tol, const MinimaxOptions& /*opts*/) {
   RBVC_REQUIRE(f >= 1 && f < s.size(), "delta_star_2: need 1 <= f < |S|");
   obs::ScopedTimer timer(obs::global(), "geom.delta_star.seconds");
   DeltaStarResult out;
@@ -99,6 +108,7 @@ DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
   if (f == 1 && s.size() == dprime + 1) {
     if (auto geom = SimplexGeometry::build(fr.coords, tol)) {
       out.value = geom->inradius();
+      out.lower = out.value;
       out.point = fr.lift(geom->incenter());
       out.exact = true;
       out.method = DeltaStarResult::Method::kSimplexInradius;
@@ -107,14 +117,16 @@ DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
     }
   }
 
-  // Case 3: numerical min-max over the drop-f hulls, inside the span.
-  MinimaxResult mm = min_max_hull_distance(drop_f_views(fr.coords, f),
-                                           mean(fr.coords), opts);
-  out.value = mm.value;
-  out.point = fr.lift(mm.point);
-  out.exact = false;
+  // Case 3: certified min-max over the drop-f hulls, inside the span.
+  OuterApproxResult oa = certified_min_max_hull_distance(
+      drop_f_views(fr.coords, f), mean(fr.coords), tol);
+  out.value = oa.upper;
+  out.lower = oa.lower;
+  out.point = fr.lift(oa.point);
+  out.exact = oa.closed;
   out.method = DeltaStarResult::Method::kNumerical;
   record_call(out);
+  record_cut_work(oa);
   return out;
 }
 
@@ -137,6 +149,7 @@ DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
   // delta* is the optimum of one LP with delta as a column.
   auto lp = detail::solve_gamma_delta_lp(s, f, p, std::nullopt, tol);
   out.value = lp->delta;
+  out.lower = out.value;
   out.point = std::move(lp->x);
   out.exact = true;
   out.method = DeltaStarResult::Method::kNumerical;
@@ -147,7 +160,7 @@ DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
 DeltaStarResult delta_star_p(const std::vector<Vec>& s, std::size_t f,
                              double p, double tol, MinimaxOptions opts) {
   RBVC_REQUIRE(f >= 1 && f < s.size(), "delta_star_p: need 1 <= f < |S|");
-  if (p == 2.0) return delta_star_2(s, f, tol, opts);
+  if (p == 2.0) return delta_star_2(s, f, tol);
   if (p == 1.0 || p >= kInfNorm) return delta_star_linear(s, f, p, tol);
   obs::ScopedTimer timer(obs::global(), "geom.delta_star.seconds");
   DeltaStarResult out;

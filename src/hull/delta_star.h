@@ -9,8 +9,11 @@
 //      in its span                           point = incenter, exact.
 //   3. otherwise, p in {1, inf}           -> one LP with delta as a column
 //      (gamma.h), exact to the simplex tolerance.
-//   4. otherwise                          -> numerical minimax (upper bound
-//      within solver tolerance).
+//   4. otherwise, p = 2                   -> cutting-plane LP in the span
+//      (opt/outer_approx.h): a certified [lower, upper] interval, closed
+//      to tol * max(1, diam S).
+//   5. otherwise (general p)              -> numerical minimax (an upper
+//      bound within its iteration budget; lower = 0).
 #pragma once
 
 #include <optional>
@@ -22,19 +25,26 @@
 namespace rbvc {
 
 struct DeltaStarResult {
-  double value = 0.0;  // delta*(S) (exact or numerical upper bound)
-  Vec point;           // deterministic witness: gamma_(value,2)(S) member
-  bool exact = false;  // true for the LP / closed-form paths
+  double value = 0.0;  // delta*(S): the upper end of [lower, value]
+  double lower = 0.0;  // certified lower bound (= value on exact paths)
+  Vec point;           // deterministic witness: gamma_(value,p)(S) member
+  bool exact = false;  // the interval closed (always on the LP / closed-form
+                       // paths; never for general-p minimax)
   enum class Method {
     kGammaNonempty,    // delta* = 0
     kSimplexInradius,  // Lemma 13 closed form (possibly in a subspace)
-    kNumerical,        // minimax iteration, or the delta LP (p in {1, inf})
+    kNumerical,        // cutting planes (p = 2), the delta LP (p in {1, inf})
+                       // or minimax (general p)
   } method = Method::kNumerical;
 };
 
 /// delta*_2(S) for f faults. Requires 1 <= f < |S|. Like every entry point
 /// here, the result is a pure function of the arguments: no solver or
-/// scratch state outlives a call.
+/// scratch state outlives a call. The numerical case never throws: a master
+/// LP that stops short of an optimum, or the solver's round cap, returns the
+/// interval found so far with exact = false. `opts` is ignored: the
+/// cutting-plane solver has no iteration budget. The parameter stays so
+/// callers that forward AsyncAveragingProcess::Params::minimax compile.
 DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
                              double tol = kTol,
                              const MinimaxOptions& opts = {});
@@ -45,7 +55,8 @@ DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
 DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
                                   double p, double tol = kTol);
 
-/// delta*_p(S) for general finite p >= 1: numerical minimax upper bound.
+/// delta*_p(S) for general finite p >= 1: numerical minimax upper bound
+/// (p = 2 and p in {1, inf} dispatch to the certified paths above).
 DeltaStarResult delta_star_p(const std::vector<Vec>& s, std::size_t f,
                              double p, double tol = kTol,
                              MinimaxOptions opts = {});

@@ -9,7 +9,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <tuple>
+#include <utility>
 
 namespace rbvc::obs::events {
 
@@ -58,6 +60,25 @@ std::atomic<Ring*> g_rings[kMaxRings];
 std::atomic<std::size_t> g_ring_count{0};
 std::atomic<std::size_t> g_crash_last_n{0};
 
+// Rings whose writer thread exited. A new writer takes one of these before
+// registering a ring, so a process that keeps starting short-lived threads
+// (a fresh executor per property check) holds as many rings as it ever had
+// live writers, not one per thread it ever ran. The list is never
+// destroyed, so a thread that exits during static destruction can still
+// hand its ring back.
+std::mutex g_free_mu;
+std::vector<Ring*>& free_rings() {  // guarded by g_free_mu
+  static auto* rings = new std::vector<Ring*>();
+  return *rings;
+}
+
+// The calling thread's ring: null before its first emit, and null again
+// once the thread-exit hook below has handed the ring back. Both are
+// trivially destructible, so they stay readable from emits in thread-local
+// destructors that run after the hook.
+thread_local Ring* t_ring = nullptr;
+thread_local bool t_ring_returned = false;
+
 std::size_t ring_capacity_from_env() {
   static const std::size_t cap = [] {
     const char* v = std::getenv("RBVC_TRACE_RING");
@@ -77,25 +98,65 @@ std::size_t ring_capacity_from_env() {
 
 void arm_exit_sink();
 
+// A fresh ring in the next table slot, or null when the table is full.
 Ring* register_ring() {
   arm_exit_sink();
-  Ring* ring = new Ring(ring_capacity_from_env());
   const std::size_t slot =
       g_ring_count.fetch_add(1, std::memory_order_relaxed);
-  if (slot < kMaxRings) {
-    g_rings[slot].store(ring, std::memory_order_release);
-    return ring;
+  if (slot >= kMaxRings) {
+    g_ring_count.store(kMaxRings, std::memory_order_relaxed);
+    return nullptr;
   }
-  // Table full (a pathological thread count): share the last ring. Ring
-  // is multi-writer safe (fetch_add cursor), only less cache-friendly.
-  g_ring_count.store(kMaxRings, std::memory_order_relaxed);
-  delete ring;
-  return g_rings[kMaxRings - 1].load(std::memory_order_acquire);
+  Ring* ring = new Ring(ring_capacity_from_env());
+  g_rings[slot].store(ring, std::memory_order_release);
+  return ring;
 }
 
-Ring& thread_ring() {
-  thread_local Ring* ring = register_ring();
-  return *ring;
+// Runs at thread exit and puts the thread's ring on the free list. The
+// cursor carries on under the next writer, so the exited thread's events
+// stay readable until the ring wraps over them.
+struct RingReturn {
+  RingReturn() = default;
+  RingReturn(const RingReturn&) = delete;
+  RingReturn& operator=(const RingReturn&) = delete;
+  ~RingReturn() {
+    Ring* ring = std::exchange(t_ring, nullptr);
+    t_ring_returned = true;
+    const std::lock_guard<std::mutex> lock(g_free_mu);
+    free_rings().push_back(ring);
+  }
+};
+
+Ring* acquire_ring() {
+  {
+    const std::lock_guard<std::mutex> lock(g_free_mu);
+    std::vector<Ring*>& free = free_rings();
+    if (!free.empty()) {
+      Ring* ring = free.back();
+      free.pop_back();
+      return ring;
+    }
+  }
+  return register_ring();
+}
+
+// The calling thread's ring, or null when the thread already handed it back
+// (an emit from a thread-local destructor that runs after RingReturn's):
+// such events are dropped rather than written into a ring another thread
+// may now own.
+Ring* thread_ring() {
+  if (t_ring != nullptr) return t_ring;
+  if (t_ring_returned) return nullptr;
+  t_ring = acquire_ring();
+  if (t_ring != nullptr) {
+    thread_local RingReturn give_back;
+  } else {
+    // Table full with every ring live (a pathological thread count): share
+    // the last ring, which the fetch_add cursor makes multi-writer safe.
+    // A sharer never hands it back.
+    t_ring = g_rings[kMaxRings - 1].load(std::memory_order_acquire);
+  }
+  return t_ring;
 }
 
 /// Arms the RBVC_TRACE_OUT at-exit sink once, mirroring obs::global().
@@ -350,7 +411,11 @@ void emit(Type t, std::int32_t instance, std::int64_t a, std::int64_t b) {
   e.type = t;
   e.a = a;
   e.b = b;
-  thread_ring().emit(e);
+  if (Ring* ring = thread_ring()) ring->emit(e);
+}
+
+std::size_t registered_rings() {
+  return std::min(g_ring_count.load(std::memory_order_acquire), kMaxRings);
 }
 
 std::uint64_t emitted_total() {

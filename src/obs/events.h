@@ -13,7 +13,11 @@
 //     the ring's cache footprint stays inside L2); when it wraps, the
 //     oldest events fall off. Rings are registered in a fixed
 //     process-wide table and never freed, so events survive thread exit
-//     and the exit/crash sinks can read them.
+//     and the exit/crash sinks can read them. At thread exit the ring goes
+//     back on a free list and the next new writer thread continues it, so
+//     the ring count tracks the most writers ever live at once, not every
+//     thread the process ever started; the exited thread's events stay
+//     readable until they are overwritten.
 //   * Hot-path cost is a few stores, mirroring the Counter shard design:
 //     one relaxed fetch_add on the ring cursor, one steady-clock read, and
 //     eight relaxed atomic stores into the slot. No locks, no allocation
@@ -134,13 +138,18 @@ std::int32_t node();
 bool enabled();
 void set_enabled(bool on);
 
-/// Records one event into the calling thread's ring (created on first use,
-/// capacity RBVC_TRACE_RING, default 1024 slots).
+/// Records one event into the calling thread's ring (taken from the free
+/// list or created on first use, capacity RBVC_TRACE_RING, default 1024
+/// slots). Dropped when emitted from a thread-local destructor that runs
+/// after the thread handed its ring back.
 void emit(Type t, std::int32_t instance = -1, std::int64_t a = 0,
           std::int64_t b = 0);
 
 /// Total events ever emitted process-wide (wrapped events included).
 std::uint64_t emitted_total();
+
+/// Rings registered so far (live and free). Public for tests.
+std::size_t registered_rings();
 
 /// One bounded single-owner event ring; the process-wide recorder keeps one
 /// per writer thread. Public for tests -- production code uses emit().

@@ -1,12 +1,15 @@
-// Numerical solver for the min-max hull-distance problem at the heart of
-// ALGO's Step 2 (paper Sec. 9):
+// Numerical solver for the general-p min-max hull-distance problem of
+// Theorem 14 (paper Sec. 9):
 //
-//     delta* = min_{p in R^d}  max_i  dist_2(p, H(S_i))
+//     delta*_p = min_{x in R^d}  max_i  dist_p(x, H(S_i))
 //
 // The objective is convex; we run a Badoiu-Clarkson style iteration (move
 // toward the projection onto the currently-farthest hull with a 1/(k+2)
-// schedule) followed by subgradient polishing. Exact closed forms (simplex
-// inradius) cross-check this path in tests.
+// schedule) followed by subgradient polishing. The result is an upper bound
+// within the iteration budget, with no certificate. In the library only
+// delta_star_p calls it, for finite p other than 1 and 2: p = 2 runs the
+// certified cutting-plane solver (opt/outer_approx.h). Exact closed forms
+// (simplex inradius) cross-check this path in tests.
 #pragma once
 
 #include <vector>

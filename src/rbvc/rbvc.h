@@ -30,6 +30,7 @@
 #include "geometry/tverberg.h"
 
 #include "opt/minimax.h"
+#include "opt/outer_approx.h"
 
 #include "hull/delta_star.h"
 #include "hull/gamma.h"

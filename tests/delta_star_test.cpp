@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "consensus/async_averaging.h"
+#include "opt/outer_approx.h"
 #include "sim/rng.h"
 #include "workload/generators.h"
 
@@ -29,6 +34,7 @@ TEST(DeltaStarTest, SimplexCaseUsesInradius) {
   const auto g = SimplexGeometry::build(s);
   ASSERT_TRUE(g.has_value());
   EXPECT_NEAR(r.value, g->inradius(), 1e-12);
+  EXPECT_EQ(r.lower, r.value);
   // The chosen point achieves exactly that excess.
   EXPECT_NEAR(gamma_excess(r.point, s, 1, 2.0), r.value, 1e-7);
 }
@@ -68,14 +74,55 @@ TEST(DeltaStarTest, SubspaceSimplexHandledExactly) {
 }
 
 TEST(DeltaStarTest, NumericalPathMatchesExactOnSimplex) {
-  // Force the numerical path by asking for f = 1 on a simplex through the
-  // generic minimax (compare delta_star_2's closed form with the minimax).
+  // Lemma 13 pin: on the drop-1 views of a simplex the cutting-plane solver
+  // must bracket the closed-form inradius and close on it.
   Rng rng(251);
-  const auto s = workload::random_simplex(rng, 3);
-  const auto exact = delta_star_2(s, 1);
-  const MinimaxResult mm =
-      min_max_hull_distance(drop_f_subsets(s, 1), mean(s));
-  EXPECT_NEAR(mm.value, exact.value, exact.value * 0.02);
+  for (std::size_t d = 2; d <= 8; ++d) {
+    const auto s = workload::random_simplex(rng, d);
+    const auto g = SimplexGeometry::build(s);
+    ASSERT_TRUE(g.has_value());
+    const double r = g->inradius();
+    const OuterApproxResult oa =
+        certified_min_max_hull_distance(drop_f_views(s, 1), mean(s));
+    EXPECT_TRUE(oa.closed) << "d=" << d;
+    EXPECT_LE(oa.lower, r + 1e-9) << "d=" << d;
+    EXPECT_LE(std::abs(oa.upper - r), 1e-9 * std::max(1.0, r)) << "d=" << d;
+  }
+}
+
+TEST(DeltaStarTest, CertifiedValueOnViewWhereMinimaxOvershoots) {
+  // A seeded n = 6, f = 2, d = 2 view on which the old 600 + 200-step
+  // minimax of the round-0 rule returned 0.0115350, 15.9x the optimum. A
+  // 200000 + 20000-step minimax from mean(S) reaches 7.25018e-4, and the
+  // certified interval is [7.24100229588e-4, 7.24100229591e-4].
+  Rng rng(14);
+  const auto s = workload::gaussian_cloud(rng, 6, 2);
+  const auto r = delta_star_2(
+      s, 2, kTol, consensus::AsyncAveragingProcess::Params{}.minimax);
+  ASSERT_EQ(r.method, DeltaStarResult::Method::kNumerical);
+  EXPECT_TRUE(r.exact);
+  EXPECT_NEAR(r.value, 7.2410022959137519e-4, 1e-9);
+  EXPECT_LE(r.lower, r.value);
+}
+
+TEST(DeltaStarTest, CertifiedIntervalOnSweepShapedViews) {
+  // Views shaped like the L2 sweep's round-0 views: n = 5, f = 2, d = 2.
+  Rng rng(283);
+  std::size_t numerical = 0;
+  for (int rep = 0; rep < 60; ++rep) {
+    const auto s = workload::gaussian_cloud(rng, 5, 2);
+    const auto r = delta_star_2(s, 2);
+    if (r.method != DeltaStarResult::Method::kNumerical) continue;
+    ++numerical;
+    EXPECT_LE(r.lower, r.value) << "rep " << rep;
+    EXPECT_TRUE(r.exact) << "rep " << rep;
+    EXPECT_LE(gamma_excess(r.point, s, 2, 2.0), r.value + 1e-9)
+        << "rep " << rep;
+    const auto again = delta_star_2(s, 2);
+    EXPECT_EQ(again.point, r.point) << "rep " << rep;
+    EXPECT_EQ(again.value, r.value) << "rep " << rep;
+  }
+  EXPECT_GT(numerical, 30u);
 }
 
 TEST(DeltaStarTest, LinearBisectionConsistent) {

@@ -1,9 +1,9 @@
 // Flight recorder + causal clock (obs/events.h), ctest labels: obs, tsan.
 // Pins the ring's keep-newest wraparound, TSan-clean concurrent emit /
-// snapshot, the JSONL dump/parse byte fixpoint, the Lamport meta
-// stamp/strip roundtrip, SimTransport's never-stamps guarantee (sim
-// ScheduleLog byte identity), and the RBVC_JOBS repro byte-identity
-// contract with the trace sink armed.
+// snapshot, ring hand-over from exited threads to new ones, the JSONL
+// dump/parse byte fixpoint, the Lamport meta stamp/strip roundtrip,
+// SimTransport's never-stamps guarantee (sim ScheduleLog byte identity),
+// and the RBVC_JOBS repro byte-identity contract with the trace sink armed.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -198,6 +198,35 @@ TEST(EventRecorderTest, DisabledEmitRecordsNothing) {
   ev::emit(ev::Type::kNote, 1, 2, 3);
   ev::set_enabled(true);
   EXPECT_EQ(ev::emitted_total(), before);
+}
+
+TEST(EventRecorderTest, ExitedThreadsHandTheirRingsOn) {
+  // A fresh executor per property check starts new threads on every call;
+  // each exited thread's ring must go to the next one instead of a new
+  // ring being registered per thread.
+  constexpr int kRounds = 64;
+  constexpr int kThreads = 4;
+  constexpr std::int64_t kMarker = 0x52494E47;  // "RING"
+  const std::size_t rings_before = ev::registered_rings();
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back(
+          [round, t] { ev::emit(ev::Type::kNote, round, kMarker, t); });
+    }
+    for (auto& th : threads) th.join();
+  }
+  EXPECT_LE(ev::registered_rings(), rings_before + kThreads);
+  // The cursor carries on under each new owner, so the first round's
+  // events are still readable.
+  std::vector<bool> seen(kThreads, false);
+  for (const auto& e : ev::snapshot()) {
+    if (e.type == ev::Type::kNote && e.instance == 0 && e.a == kMarker &&
+        e.b >= 0 && e.b < kThreads) {
+      seen[static_cast<std::size_t>(e.b)] = true;
+    }
+  }
+  for (int t = 0; t < kThreads; ++t) EXPECT_TRUE(seen[t]) << "thread " << t;
 }
 
 TEST(EventRecorderTest, ExportTraceWritesAParseableFixpoint) {
