@@ -21,7 +21,7 @@ BUILD_DIR="${RBVC_BENCH_BUILD_DIR:-build-bench}"
 FILTER="${RBVC_BENCH_FILTER:-^\$}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT

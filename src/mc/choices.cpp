@@ -25,7 +25,7 @@ std::size_t RecordingChoices::choose(std::size_t arity) {
   return opt;
 }
 
-std::size_t SourceScheduler::pick(const std::vector<sim::Message>& pending) {
+std::size_t SourceScheduler::pick(const sim::PendingPool& pending) {
   const std::size_t idx = source_.pick(pending);
   RBVC_REQUIRE(idx < pending.size(), "SourceScheduler: pick out of range");
   return idx;

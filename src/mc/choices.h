@@ -38,9 +38,10 @@ class ChoiceSource {
   /// Returns an option index in [0, arity). arity must be >= 1.
   virtual std::size_t choose(std::size_t arity) = 0;
 
-  /// Returns the index of the pending message to deliver. Default: FIFO,
-  /// so a pure-choice source can drive an async run without overriding it.
-  virtual std::size_t pick(const std::vector<sim::Message>& pending) {
+  /// Returns the index of the pending message to deliver (indexing as in
+  /// sim::Scheduler). Default: FIFO, so a pure-choice source can drive an
+  /// async run without overriding it.
+  virtual std::size_t pick(const sim::PendingPool& pending) {
     (void)pending;
     return 0;
   }
@@ -81,7 +82,7 @@ class RecordingChoices final : public ChoiceSource {
       : inner_(inner), log_(log) {}
 
   std::size_t choose(std::size_t arity) override;
-  std::size_t pick(const std::vector<sim::Message>& pending) override {
+  std::size_t pick(const sim::PendingPool& pending) override {
     return inner_.pick(pending);
   }
 
@@ -96,7 +97,7 @@ class SourceScheduler final : public sim::Scheduler {
  public:
   explicit SourceScheduler(ChoiceSource& source) : source_(source) {}
 
-  std::size_t pick(const std::vector<sim::Message>& pending) override;
+  std::size_t pick(const sim::PendingPool& pending) override;
 
  private:
   ChoiceSource& source_;

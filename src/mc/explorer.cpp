@@ -73,14 +73,14 @@ class PathSource final : public ChoiceSource {
     return step(false, arity, nullptr);
   }
 
-  std::size_t pick(const std::vector<sim::Message>& pending) override {
+  std::size_t pick(const sim::PendingPool& pending) override {
     RBVC_REQUIRE(!pending.empty(), "mc::explore: nothing pending");
     return step(true, pending.size(), &pending);
   }
 
  private:
   std::size_t step(bool is_pick, std::size_t arity,
-                   const std::vector<sim::Message>* pending) {
+                   const sim::PendingPool* pending) {
     if (cursor_ < frames_.size()) {
       const Frame& f = frames_[cursor_];
       RBVC_REQUIRE(f.is_pick == is_pick && f.arity == arity,
@@ -135,10 +135,11 @@ class PathSource final : public ChoiceSource {
       if (j == i) continue;
       if (!par->sleep[j] && !par->explored[j]) continue;
       if (par->recipients[j] == par->recipients[i]) continue;  // dependent
-      // The engine erases the delivered message in place and appends new
-      // sends, so surviving messages keep their index order shifted down by
-      // one past the delivered slot. The recipient check guards the map in
-      // case a future engine reorders the pool.
+      // Between picks the pool only loses the delivered message and gains
+      // appended sends (the index rule in sim/async_engine.h), so surviving
+      // messages keep their index order shifted down by one past the
+      // delivered index. The recipient check guards the map in case a
+      // future engine reorders the pool.
       const std::size_t cj = j < i ? j : j - 1;
       if (cj < f.arity && f.recipients[cj] == par->recipients[j] &&
           !f.sleep[cj]) {

@@ -220,8 +220,27 @@ std::size_t Histogram::bucket_of(double v) const {
 void Histogram::observe(double v) {
   counts_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
   total_.fetch_add(1, std::memory_order_relaxed);
+  add_to_sum(v);
+}
+
+void Histogram::add(const std::vector<std::uint64_t>& counts, double sum) {
+  RBVC_REQUIRE(counts.size() == counts_.size(),
+               "Histogram::add: one count per bucket, overflow last");
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) continue;
+    counts_[i].fetch_add(counts[i], std::memory_order_relaxed);
+    total += counts[i];
+  }
+  total_.fetch_add(total, std::memory_order_relaxed);
+  add_to_sum(sum);
+}
+
+void Histogram::add_to_sum(double v) {
   // CAS accumulation instead of atomic<double>::fetch_add for toolchain
-  // portability; uncontended in practice (distinct histograms per site).
+  // portability. Every thread that observes one histogram contends here,
+  // so a site hit from many threads at a high rate tallies locally and
+  // publishes with add() (sim.async.queue_depth does, once per run).
   double cur = sum_.load(std::memory_order_relaxed);
   while (!sum_.compare_exchange_weak(cur, cur + v,
                                      std::memory_order_relaxed)) {

@@ -105,6 +105,10 @@ class Histogram {
   Histogram& operator=(Histogram&&) = delete;
 
   void observe(double v);
+  /// Adds a batch tallied by the caller: `counts` per bucket (overflow
+  /// last, as counts() returns them) and the observations' sum. Hot sites
+  /// that many threads share tally locally and publish once with this.
+  void add(const std::vector<std::uint64_t>& counts, double sum);
   /// Index of the bucket `observe(v)` increments (exposed for tests).
   std::size_t bucket_of(double v) const;
 
@@ -116,6 +120,7 @@ class Histogram {
 
  private:
   friend class Registry;  // parse() restores counts_/total_/sum_ directly
+  void add_to_sum(double v);
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> counts_;  // bounds_.size() + 1
   std::atomic<std::uint64_t> total_{0};

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/message.h"
+#include "sim/pending_pool.h"
 #include "sim/rng.h"
 #include "sim/trace.h"
 
@@ -28,17 +29,29 @@ class ScheduleLog;
 /// fair (never starve a message forever) for liveness results to hold;
 /// tests/scheduler_fairness_test.cpp guards this for the built-in
 /// schedulers.
+///
+/// pick() returns an index into the pending pool, and index i is the i-th
+/// oldest pending message. Between two picks the pool changes only by
+/// taking the picked message (every later index drops by one) and appending
+/// the recipient's sends in send order. Schedule logs store these indices,
+/// replays re-apply them, and mc's sleep-set inheritance maps a parent
+/// pick's options onto its child's by this rule (mc/explorer.cpp).
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
-  virtual std::size_t pick(const std::vector<Message>& pending) = 0;
+  /// Index of the message to deliver next; < pending.size().
+  virtual std::size_t pick(const PendingPool& pending) = 0;
+  /// Asked once per send, after the channel stamps `from` and `to` and
+  /// before the message enters the pool: the answer is its preferred bit
+  /// (PendingPool::preferred, index_of_preferred).
+  virtual bool prefers(const Message&) const { return false; }
 };
 
 /// Uniformly random (seeded) delivery order: fair with probability 1.
 class RandomScheduler final : public Scheduler {
  public:
   explicit RandomScheduler(std::uint64_t seed) : rng_(seed) {}
-  std::size_t pick(const std::vector<Message>& pending) override;
+  std::size_t pick(const PendingPool& pending) override;
 
  private:
   Rng rng_;
@@ -47,17 +60,18 @@ class RandomScheduler final : public Scheduler {
 /// Adversarial "laggard" schedule: messages to or from the designated slow
 /// processes are delivered only when nothing else is pending (or with small
 /// probability), modelling f slow-but-correct processes that asynchronous
-/// algorithms must not wait for.
+/// algorithms must not wait for. Every other message is preferred.
 class LaggardScheduler final : public Scheduler {
  public:
-  LaggardScheduler(std::uint64_t seed, std::vector<ProcessId> laggards,
+  LaggardScheduler(std::uint64_t seed, const std::vector<ProcessId>& laggards,
                    double leak_probability = 0.02);
-  std::size_t pick(const std::vector<Message>& pending) override;
+  std::size_t pick(const PendingPool& pending) override;
+  bool prefers(const Message& m) const override { return !lagged(m); }
 
  private:
   bool lagged(const Message& m) const;
   Rng rng_;
-  std::vector<ProcessId> laggards_;
+  std::vector<char> laggard_;  // laggard_[p] != 0 iff process p lags
   double leak_;
 };
 

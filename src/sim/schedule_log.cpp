@@ -114,7 +114,7 @@ std::string describe_divergence(const ScheduleLog& expected,
   return "";
 }
 
-std::size_t ReplayScheduler::pick(const std::vector<Message>& pending) {
+std::size_t ReplayScheduler::pick(const PendingPool& pending) {
   RBVC_REQUIRE(!pending.empty(), "ReplayScheduler: nothing pending");
   while (next_ < log_.size() &&
          log_.entries()[next_].kind != ScheduleEntryKind::kPick) {

@@ -86,7 +86,7 @@ class ReplayScheduler final : public Scheduler {
  public:
   explicit ReplayScheduler(ScheduleLog log) : log_(std::move(log)) {}
 
-  std::size_t pick(const std::vector<Message>& pending) override;
+  std::size_t pick(const PendingPool& pending) override;
 
   /// Entries consumed so far (for diagnosing divergent replays).
   std::size_t consumed() const { return next_; }

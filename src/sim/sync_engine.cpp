@@ -28,7 +28,9 @@ class CollectingOutbox final : public Outbox {
     RBVC_REQUIRE(to < n_, "send: unknown recipient");
     m.from = self_;
     m.to = to;
-    trace_.record(EventType::kSend, round_, self_, describe(m));
+    if (trace_.enabled()) {
+      trace_.record(EventType::kSend, round_, self_, describe(m));
+    }
     ++kind_counts_[m.kind];
     next_[to].push_back(std::move(m));
     ++counter_;

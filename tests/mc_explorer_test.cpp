@@ -109,20 +109,20 @@ TEST(McExplorer, ExhaustiveStatsAreJobCountIndependent) {
 
 // Simulates an async engine draining a pool of deliveries through pick():
 // `tos[i]` is the recipient of initial message i; delivering a message
-// erases it in place (the engine's contract) and appends nothing. With
-// distinct recipients every interleaving commutes, so sleep sets must
+// takes it out of the pool (the engine's contract) and appends nothing.
+// With distinct recipients every interleaving commutes, so sleep sets must
 // collapse the n! orders to a single complete run.
 RunFn drain_pool(std::vector<sim::ProcessId> tos) {
   return [tos](ChoiceSource& src) {
-    std::vector<sim::Message> pending;
+    sim::PendingPool pending;
     for (sim::ProcessId to : tos) {
       sim::Message m;
       m.to = to;
-      pending.push_back(m);
+      pending.push(std::move(m), false);
     }
     while (!pending.empty()) {
       const std::size_t i = src.pick(pending);
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+      (void)pending.take(i);
     }
     return RunVerdict{};
   };
@@ -166,20 +166,23 @@ TEST(McExplorer, ReductionIsSoundOnMixedDependencies) {
     // Tag the two recipient-0 messages by their `from` field so the
     // restriction is observable.
     RunFn run = [&dep_orders](ChoiceSource& src) {
-      std::vector<sim::Message> pending(3);
-      pending[0].from = 10;
-      pending[0].to = 0;
-      pending[1].from = 20;
-      pending[1].to = 0;
-      pending[2].from = 30;
-      pending[2].to = 1;
+      sim::PendingPool pending;
+      auto push = [&pending](sim::ProcessId from, sim::ProcessId to) {
+        sim::Message m;
+        m.from = from;
+        m.to = to;
+        pending.push(std::move(m), false);
+      };
+      push(10, 0);
+      push(20, 0);
+      push(30, 1);
       std::string order;
       while (!pending.empty()) {
         const std::size_t i = src.pick(pending);
         if (pending[i].to == 0) {
           order += pending[i].from == 10 ? 'a' : 'b';
         }
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+        (void)pending.take(i);
       }
       dep_orders.push_back(order);
       return RunVerdict{};

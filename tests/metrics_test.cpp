@@ -38,6 +38,24 @@ TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
   EXPECT_DOUBLE_EQ(h.sum(), 1.0 + 10.0 + 1e9);
 }
 
+TEST(HistogramTest, AddPublishesATallyAsIfObserved) {
+  Histogram observed({1.0, 10.0, 100.0});
+  Histogram batched({1.0, 10.0, 100.0});
+  std::vector<std::uint64_t> counts(4, 0);
+  std::uint64_t sum = 0;
+  for (std::uint64_t v : {0, 1, 3, 10, 11, 99, 100, 101, 5000}) {
+    observed.observe(static_cast<double>(v));
+    ++counts[batched.bucket_of(static_cast<double>(v))];
+    sum += v;
+  }
+  batched.add(counts, static_cast<double>(sum));
+  EXPECT_EQ(batched.counts(), observed.counts());
+  EXPECT_EQ(batched.total(), observed.total());
+  EXPECT_EQ(batched.sum(), observed.sum());
+  // One count per bucket, overflow included.
+  EXPECT_THROW(batched.add({1, 2}, 3.0), invalid_argument);
+}
+
 TEST(HistogramTest, BoundsMustBeStrictlyIncreasing) {
   EXPECT_THROW(Histogram({1.0, 1.0}), invalid_argument);
   EXPECT_THROW(Histogram({2.0, 1.0}), invalid_argument);

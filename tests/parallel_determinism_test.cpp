@@ -21,6 +21,14 @@
 namespace rbvc {
 namespace {
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
   // These tests pin RBVC_JOBS (and clear the other harness knobs) to get a
@@ -36,14 +44,6 @@ class ParallelDeterminismTest : public ::testing::Test {
     restore("RBVC_JOBS", jobs_);
     restore("RBVC_REPLAY", replay_);
     restore("RBVC_FUZZ_EPISODES", episodes_);
-  }
-
-  static std::string slurp(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
   }
 
  private:
@@ -66,10 +66,14 @@ class ParallelDeterminismTest : public ::testing::Test {
 
 /// Fails on several episodes (the sub-quorum override lets divergent views
 /// surface as disagreement); the harness must always report the LOWEST.
-harness::AsyncProperty planted_property(const std::string& repro_dir) {
+harness::AsyncProperty planted_property(
+    const std::string& repro_dir,
+    workload::SchedulerKind scheduler = workload::SchedulerKind::kRandom) {
   harness::AsyncProperty prop;
-  prop.name = "parallel_determinism_planted";
-  prop.generate = [](Rng& rng) {
+  prop.name = scheduler == workload::SchedulerKind::kRandom
+                  ? "parallel_determinism_planted"
+                  : "parallel_determinism_planted_laggard";
+  prop.generate = [scheduler](Rng& rng) {
     workload::AsyncExperiment e;
     e.prm.n = 4;
     e.prm.f = 1;
@@ -78,7 +82,7 @@ harness::AsyncProperty planted_property(const std::string& repro_dir) {
     e.prm.quorum_override = 2;  // test-only hook: quorum below n - f
     e.d = 2;
     e.honest_inputs = {{0, 0}, {10, 0}, {0, 10}, {10, 10}};
-    e.scheduler = workload::SchedulerKind::kRandom;
+    e.scheduler = scheduler;
     e.seed = rng.next_u64();
     return e;
   };
@@ -110,22 +114,26 @@ harness::AsyncProperty healthy_property() {
   return prop;
 }
 
-TEST_F(ParallelDeterminismTest, SameFailureAndByteIdenticalReproAcrossJobs) {
+/// Checks the planted property at RBVC_JOBS 1 and 8: same verdict and a
+/// byte-identical repro file. `tag` keeps each caller's repro dirs apart.
+void expect_same_failure_across_jobs(workload::SchedulerKind scheduler,
+                                     const std::string& tag) {
   // Serial reference run (jobs = 1), repro written into its own dir so the
   // parallel run cannot just overwrite-and-match trivially.
-  const std::string dir1 = ::testing::TempDir() + "/jobs1";
-  const std::string dir8 = ::testing::TempDir() + "/jobs8";
+  const std::string dir1 = ::testing::TempDir() + "/" + tag + "1";
+  const std::string dir8 = ::testing::TempDir() + "/" + tag + "8";
   std::filesystem::create_directories(dir1);
   std::filesystem::create_directories(dir8);
 
   ::setenv("RBVC_JOBS", "1", 1);
-  const auto serial = harness::check_property<harness::AsyncRunner>(planted_property(dir1));
+  const auto serial = harness::check_property<harness::AsyncRunner>(
+      planted_property(dir1, scheduler));
   ASSERT_FALSE(serial.passed) << harness::describe(serial);
   ASSERT_FALSE(serial.repro_path.empty());
 
   ::setenv("RBVC_JOBS", "8", 1);
-  const auto parallel =
-      harness::check_property<harness::AsyncRunner>(planted_property(dir8));
+  const auto parallel = harness::check_property<harness::AsyncRunner>(
+      planted_property(dir8, scheduler));
   ASSERT_FALSE(parallel.passed) << harness::describe(parallel);
   ASSERT_FALSE(parallel.repro_path.empty());
 
@@ -139,6 +147,18 @@ TEST_F(ParallelDeterminismTest, SameFailureAndByteIdenticalReproAcrossJobs) {
   // Byte-identical repro files (schedule, trace dump, metrics snapshot).
   EXPECT_NE(parallel.repro_path, serial.repro_path);
   EXPECT_EQ(slurp(parallel.repro_path), slurp(serial.repro_path));
+}
+
+TEST_F(ParallelDeterminismTest, SameFailureAndByteIdenticalReproAcrossJobs) {
+  expect_same_failure_across_jobs(workload::SchedulerKind::kRandom, "jobs");
+}
+
+TEST_F(ParallelDeterminismTest, LaggardSameFailureAndByteIdenticalReproAcrossJobs) {
+  // The laggard scheduler's path -- the one the benchmark sweeps and the
+  // chaos and harness suites run -- where picks draw from the pool's
+  // preferred (laggard-free) messages.
+  expect_same_failure_across_jobs(workload::SchedulerKind::kLaggard,
+                                  "laggard_jobs");
 }
 
 TEST_F(ParallelDeterminismTest, JobsBeyondHardwareConcurrencyStayExact) {

@@ -18,6 +18,13 @@ Message make_msg(ProcessId from, ProcessId to, const char* kind) {
   return m;
 }
 
+// What the engine's outbox does on a send: ask the scheduler for the
+// message's preferred bit, then append it to the pool.
+void send(PendingPool& pending, const Scheduler& sched, Message m) {
+  const bool preferred = sched.prefers(m);
+  pending.push(std::move(m), preferred);
+}
+
 // A lagged message competing against a constantly replenished pool of fast
 // messages must still be delivered within a bounded number of picks. With
 // the default 2% leak the expected wait is ~200 picks; the bound leaves
@@ -26,10 +33,10 @@ TEST(SchedulerFairnessTest, LaggardEventuallyDeliversLaggedMessages) {
   constexpr std::size_t kBound = 50'000;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     LaggardScheduler sched(seed, {0});
-    std::vector<Message> pending;
-    pending.push_back(make_msg(0, 1, "lag"));  // touches laggard process 0
+    PendingPool pending;
+    send(pending, sched, make_msg(0, 1, "lag"));  // touches laggard process 0
     for (ProcessId i = 1; i <= 3; ++i) {
-      pending.push_back(make_msg(i, i + 1, "fast"));
+      send(pending, sched, make_msg(i, i + 1, "fast"));
     }
     std::size_t waited = 0;
     bool delivered = false;
@@ -43,7 +50,8 @@ TEST(SchedulerFairnessTest, LaggardEventuallyDeliversLaggedMessages) {
       }
       // The adversary keeps the fast lane saturated: every delivered fast
       // message is immediately replaced by a fresh one.
-      pending[idx] = make_msg(1 + waited % 3, 2, "fast");
+      (void)pending.take(idx);
+      send(pending, sched, make_msg(1 + waited % 3, 2, "fast"));
     }
     EXPECT_TRUE(delivered)
         << "seed " << seed << ": lagged message starved for " << kBound
@@ -53,8 +61,8 @@ TEST(SchedulerFairnessTest, LaggardEventuallyDeliversLaggedMessages) {
 
 TEST(SchedulerFairnessTest, LaggardDeliversImmediatelyWhenOnlyLaggedPending) {
   LaggardScheduler sched(3, {0, 2});
-  std::vector<Message> pending;
-  pending.push_back(make_msg(0, 2, "lag"));
+  PendingPool pending;
+  send(pending, sched, make_msg(0, 2, "lag"));
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(sched.pick(pending), 0u);
   }
@@ -62,8 +70,8 @@ TEST(SchedulerFairnessTest, LaggardDeliversImmediatelyWhenOnlyLaggedPending) {
 
 TEST(SchedulerFairnessTest, RandomSchedulerCoversTheWholePool) {
   RandomScheduler sched(42);
-  std::vector<Message> pending;
-  for (ProcessId i = 0; i < 8; ++i) pending.push_back(make_msg(i, 0, "m"));
+  PendingPool pending;
+  for (ProcessId i = 0; i < 8; ++i) send(pending, sched, make_msg(i, 0, "m"));
   std::vector<bool> hit(pending.size(), false);
   for (int i = 0; i < 2000; ++i) {
     const std::size_t idx = sched.pick(pending);
