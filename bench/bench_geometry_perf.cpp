@@ -1,9 +1,10 @@
-// E14 -- Ablation of the geometry engines: the three point-to-hull distance
-// paths (Wolfe exact L2, LP exact L1/Linf, Frank-Wolfe iterative), the
-// delta* paths (closed-form inradius vs the certified cutting-plane solver
-// vs minimax, the delta LP vs cold bisection), and the Psi encodings
-// (halfplane fast path vs barycentric lambda-LP). Accuracy agreement is
-// printed first; timings follow.
+// E14 -- Ablation of the geometry engines: the point-to-hull distance paths
+// (Wolfe exact L2, LP exact L1/Linf, the general-p cutting planes with the
+// box pinned at the point), the delta* paths (closed-form inradius vs the
+// certified p = 2 cutting-plane solver vs the general-p one run at p = 2,
+// the delta LP vs cold bisection), and the Psi encodings (halfplane fast
+// path vs barycentric lambda-LP). Accuracy agreement is printed first;
+// timings follow.
 //
 // The cutting-plane table sets two gauges that bench-smoke gates on:
 // bench.delta_star2.max_gap (largest upper - lower) and
@@ -51,21 +52,25 @@ void report() {
   std::printf("E14: geometry-engine ablation (accuracy cross-checks)\n");
 
   {
-    rbvc::bench::Table t({"d", "n", "Wolfe L2", "FW L2 (2k iters)",
-                          "|diff|", "LP Linf", "Wolfe-lower-bounds-Linf"});
+    rbvc::bench::Table t({"d", "n", "Wolfe L2", "cuts L2 lower",
+                          "cuts L2 upper", "rounds", "LP Linf",
+                          "Wolfe-lower-bounds-Linf"});
     Rng rng(55);
     for (std::size_t d : {3u, 6u, 10u}) {
       const auto pts = workload::gaussian_cloud(rng, d + 3, d);
       const Vec u = scale(3.0, rng.normal_vec(d));
       const double w = detail::wolfe_min_norm(u, pts, kTol).distance;
-      const double fw =
-          detail::lp_projection_frank_wolfe(u, pts, 2.0).distance;
+      const OuterApproxResult cuts = certified_min_max_hull_distance_p(
+          {pts}, 2.0, u,
+          {Vec(pts.size(), 1.0 / static_cast<double>(pts.size()))}, kTol,
+          /*pinned=*/true);
       const double li =
           detail::lp_projection_via_lp(u, pts, kInfNorm, kTol).distance;
       t.add_row({std::to_string(d), std::to_string(d + 3),
-                 rbvc::bench::Table::num(w), rbvc::bench::Table::num(fw),
-                 rbvc::bench::Table::num(std::abs(w - fw)),
-                 rbvc::bench::Table::num(li),
+                 rbvc::bench::Table::num(w, 10),
+                 rbvc::bench::Table::num(cuts.lower, 10),
+                 rbvc::bench::Table::num(cuts.upper, 10),
+                 std::to_string(cuts.rounds), rbvc::bench::Table::num(li),
                  li <= w + 1e-9 ? "yes" : "NO"});
     }
     t.print("Distance engines on identical instances");
@@ -73,10 +78,10 @@ void report() {
 
   {
     // Lemma 13: on the drop-1 views of a simplex, delta*_2 is the inradius.
-    // Minimax (2000 + 400 iterations) runs at d = 7 only, for comparison.
+    // The general-p solver runs at p = 2 and d = 7 only, for comparison.
     using clock = std::chrono::steady_clock;
     rbvc::bench::Table t({"d", "inradius (closed form)", "lower", "upper",
-                          "rounds", "ms", "minimax"});
+                          "rounds", "ms", "general-p at p=2"});
     Rng rng(66);
     double max_gap = 0.0;
     double max_err = 0.0;
@@ -92,19 +97,20 @@ void report() {
       max_gap = std::max(max_gap, oa.upper - oa.lower);
       max_err = std::max(max_err,
                          std::abs(oa.upper - r) / std::max(1.0, r));
-      std::string mm = "-";
+      std::string gp = "-";
       if (d == 7) {
-        MinimaxOptions opts;
-        opts.iters = 2000;
-        opts.polish_iters = 400;
-        mm = rbvc::bench::Table::num(
-            min_max_hull_distance(drop_f_views(s, 1), mean(s), opts).value);
+        const auto views = drop_f_views(s, 1);
+        const OuterApproxResult g = certified_min_max_hull_distance_p(
+            views, 2.0, mean(s),
+            std::vector<Vec>(views.size(), Vec(d, 1.0 / double(d))));
+        gp = "[" + rbvc::bench::Table::num(g.lower, 12) + ", " +
+             rbvc::bench::Table::num(g.upper, 12) + "]";
       }
       t.add_row({std::to_string(d), rbvc::bench::Table::num(r, 12),
                  rbvc::bench::Table::num(oa.lower, 12),
                  rbvc::bench::Table::num(oa.upper, 12),
                  std::to_string(oa.rounds), rbvc::bench::Table::num(ms),
-                 mm});
+                 gp});
     }
     t.print("delta*_2 closed form vs certified cutting planes");
     std::printf("max gap (upper - lower): %.3g   max |upper - inradius| / "
@@ -194,18 +200,16 @@ void BM_LpProjectionLinf(benchmark::State& state) {
 }
 BENCHMARK(BM_LpProjectionLinf)->Arg(3)->Arg(6)->Arg(12);
 
-void BM_FrankWolfe(benchmark::State& state) {
+void BM_GeneralPProjection(benchmark::State& state) {
   Rng rng(3);
   const auto pts = workload::gaussian_cloud(rng, 10, 6);
   const Vec u = scale(3.0, rng.normal_vec(6));
+  const double p = static_cast<double>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        detail::lp_projection_frank_wolfe(
-            u, pts, 3.0, static_cast<std::size_t>(state.range(0)))
-            .distance);
+    benchmark::DoNotOptimize(project_to_hull_p(u, pts, p).distance);
   }
 }
-BENCHMARK(BM_FrankWolfe)->Arg(200)->Arg(2000);
+BENCHMARK(BM_GeneralPProjection)->Arg(3)->Arg(4);
 
 void BM_HullMembership(benchmark::State& state) {
   Rng rng(4);

@@ -1,9 +1,9 @@
 #include "geometry/distance.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "lp/model.h"
+#include "opt/outer_approx.h"
 
 namespace rbvc {
 
@@ -60,53 +60,6 @@ HullProjection lp_projection_via_lp(const Vec& u, PointView pts, double p,
   return projection_from_coeffs(u, pts, std::move(coeffs), p);
 }
 
-HullProjection lp_projection_frank_wolfe(const Vec& u, PointView pts, double p,
-                                         std::size_t max_iters) {
-  RBVC_REQUIRE(p >= 1.0 && p < kInfNorm,
-               "frank_wolfe: requires finite p >= 1");
-  RBVC_REQUIRE(!pts.empty(), "frank_wolfe: empty point set");
-  const std::size_t n = pts.size();
-  const std::size_t d = u.size();
-
-  // Minimize f(lambda) = ||u - V lambda||_p^p over the simplex; the p-th
-  // power keeps the gradient smooth away from the optimum and the argmin is
-  // the same point.
-  Vec lambda(n, 1.0 / static_cast<double>(n));
-  Vec r(d);
-  auto residual = [&]() {
-    for (std::size_t k = 0; k < d; ++k) {
-      double s = u[k];
-      for (std::size_t j = 0; j < n; ++j) s -= lambda[j] * pts[j][k];
-      r[k] = s;
-    }
-  };
-  residual();
-
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    // grad_j f = -sum_k p |r_k|^{p-1} sign(r_k) pts[j][k]
-    Vec g(d);
-    for (std::size_t k = 0; k < d; ++k) {
-      const double a = std::abs(r[k]);
-      g[k] = (a == 0.0) ? 0.0
-                        : p * std::pow(a, p - 1.0) * (r[k] > 0 ? 1.0 : -1.0);
-    }
-    std::size_t best = 0;
-    double best_val = kInfNorm;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double v = -dot(g, pts[j]);  // gradient wrt lambda_j
-      if (v < best_val) {
-        best_val = v;
-        best = j;
-      }
-    }
-    const double gamma = 2.0 / (static_cast<double>(it) + 2.0);
-    for (std::size_t j = 0; j < n; ++j) lambda[j] *= (1.0 - gamma);
-    lambda[best] += gamma;
-    residual();
-  }
-  return projection_from_coeffs(u, pts, std::move(lambda), p);
-}
-
 }  // namespace detail
 
 HullProjection project_to_hull(const Vec& u, PointView pts, double tol) {
@@ -120,7 +73,12 @@ HullProjection project_to_hull_p(const Vec& u, PointView pts, double p,
   if (p == 1.0 || p >= kInfNorm) {
     return detail::lp_projection_via_lp(u, pts, p, tol);
   }
-  return detail::lp_projection_frank_wolfe(u, pts, p);
+  RBVC_REQUIRE(!pts.empty(), "project_to_hull_p: empty point set");
+  // The cutting-plane loop with x pinned at u, started at the barycentre.
+  OuterApproxResult oa = certified_min_max_hull_distance_p(
+      {pts}, p, u, {Vec(pts.size(), 1.0 / static_cast<double>(pts.size()))},
+      tol, /*pinned=*/true);
+  return detail::projection_from_coeffs(u, pts, std::move(oa.coeffs[0]), p);
 }
 
 double distance_to_hull(const Vec& u, PointView pts, double p, double tol) {

@@ -2,7 +2,8 @@
 //
 //   p = 2        -> Wolfe's min-norm-point algorithm (exact up to tolerance)
 //   p = 1, inf   -> exact linear programs
-//   other p >= 1 -> Frank-Wolfe over the barycentric simplex (iterative)
+//   other p >= 1 -> cutting planes pinned at u (opt/outer_approx.h): the
+//                   upper end of a certified interval
 //
 // These back the (delta,p)-relaxed hull membership tests of paper Sec. 5.2
 // and the delta* computations of Sec. 9. Point sets are taken by PointView
@@ -19,7 +20,7 @@ namespace rbvc {
 /// Result of projecting a point onto a convex hull.
 struct HullProjection {
   double distance = 0.0;  // ||u - point||_p
-  Vec point;              // nearest (for p=2; near-nearest otherwise) hull point
+  Vec point;              // nearest hull point (general p: best iterate's)
   Vec coeffs;             // barycentric coefficients of `point` over S
 };
 
@@ -27,7 +28,7 @@ struct HullProjection {
 HullProjection project_to_hull(const Vec& u, PointView pts, double tol = kTol);
 
 /// Lp projection of u onto H(pts): exact for p in {1, 2, inf} (LP / Wolfe),
-/// iterative (Frank-Wolfe, accuracy ~ kLooseTol) for other p >= 1.
+/// the upper end of a certified interval for other p >= 1.
 HullProjection project_to_hull_p(const Vec& u, PointView pts, double p,
                                  double tol = kTol);
 
@@ -41,8 +42,6 @@ HullProjection wolfe_min_norm(const Vec& u, PointView pts, double tol);
 /// p in {1, inf}: one LP over (lambda, residual bounds), solved cold.
 HullProjection lp_projection_via_lp(const Vec& u, PointView pts, double p,
                                     double tol);
-HullProjection lp_projection_frank_wolfe(const Vec& u, PointView pts, double p,
-                                         std::size_t max_iters = 2'000);
 }  // namespace detail
 
 }  // namespace rbvc

@@ -37,6 +37,9 @@ void record_cut_work(const OuterApproxResult& oa) {
   reg.counter("geom.delta_star.cut_rounds").inc(oa.rounds);
   reg.counter("geom.delta_star.cuts").inc(oa.cuts);
   if (!oa.closed) reg.counter("geom.delta_star.gap_open").inc();
+  if (oa.rejected > 0) {
+    reg.counter("geom.delta_star.master_rejected").inc(oa.rejected);
+  }
 }
 
 // Isometric coordinates of a point set within its own affine span
@@ -158,29 +161,37 @@ DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
 }
 
 DeltaStarResult delta_star_p(const std::vector<Vec>& s, std::size_t f,
-                             double p, double tol, MinimaxOptions opts) {
+                             double p, double tol) {
   RBVC_REQUIRE(f >= 1 && f < s.size(), "delta_star_p: need 1 <= f < |S|");
+  RBVC_REQUIRE(p >= 1.0, "delta_star_p: p must be >= 1");
   if (p == 2.0) return delta_star_2(s, f, tol);
   if (p == 1.0 || p >= kInfNorm) return delta_star_linear(s, f, p, tol);
   obs::ScopedTimer timer(obs::global(), "geom.delta_star.seconds");
-  DeltaStarResult out;
-  if (auto g = gamma_point(s, f, tol)) {
-    out.value = 0.0;
-    out.point = *g;
-    out.exact = true;
-    out.method = DeltaStarResult::Method::kGammaNonempty;
+  // Gamma(S) does not depend on p, and delta*_2's witness with each hull's
+  // Wolfe weights is the start: for p >= 2 it already attains delta*_2's
+  // value, since ||.||_p <= ||.||_2.
+  DeltaStarResult out = delta_star_2(s, f, tol);
+  if (out.method == DeltaStarResult::Method::kGammaNonempty) {
     record_call(out);
     return out;
   }
-  opts.p = p;
-  // Lp norms are not preserved by orthogonal projection, so run the minimax
-  // in the ambient space.
-  MinimaxResult mm = min_max_hull_distance(drop_f_views(s, f), mean(s), opts);
-  out.value = mm.value;
-  out.point = mm.point;
-  out.exact = false;
+  const std::vector<PointView> views = drop_f_views(s, f);
+  std::vector<Vec> coeffs;
+  coeffs.reserve(views.size());
+  for (const PointView& v : views) {
+    coeffs.push_back(project_to_hull(out.point, v, tol).coeffs);
+  }
+  // Lp norms are not preserved by orthogonal projection, so the loop runs in
+  // the ambient space.
+  OuterApproxResult oa = certified_min_max_hull_distance_p(
+      views, p, std::move(out.point), std::move(coeffs), tol);
+  out.value = oa.upper;
+  out.lower = oa.lower;
+  out.point = std::move(oa.point);
+  out.exact = oa.closed;
   out.method = DeltaStarResult::Method::kNumerical;
   record_call(out);
+  record_cut_work(oa);
   return out;
 }
 

@@ -1,6 +1,6 @@
 // delta*(S): the smallest relaxation for which Gamma_(delta,p)(S) is
 // non-empty -- the quantity ALGO (paper Sec. 9) minimizes in its Step 2,
-// and the quantity Theorems 8, 9, 12 and Conjectures 1-3 upper-bound.
+// and the quantity Theorems 8, 9, 12, 14 and Conjectures 1-3 upper-bound.
 //
 // Computation strategy (the L2 cases first project S isometrically onto the
 // affine span of its points, per the paper's Case II arguments):
@@ -12,29 +12,37 @@
 //   4. otherwise, p = 2                   -> cutting-plane LP in the span
 //      (opt/outer_approx.h): a certified [lower, upper] interval, closed
 //      to tol * max(1, diam S).
-//   5. otherwise (general p)              -> numerical minimax (an upper
-//      bound within its iteration budget; lower = 0).
+//   5. otherwise (general p)              -> epigraph cutting planes in the
+//      ambient space from delta*_2's witness: a certified interval.
 #pragma once
 
 #include <optional>
 
 #include "geometry/simplex_geometry.h"
 #include "hull/gamma.h"
-#include "opt/minimax.h"
 
 namespace rbvc {
+
+/// A retired minimax budget that nothing reads; it survives only in
+/// AsyncAveragingProcess::Params (the repro `minimax` line) and delta_star_2.
+struct MinimaxOptions {
+  std::size_t iters = 4'000;
+  std::size_t polish_iters = 500;
+  double tol = kTol;
+  double p = 2.0;
+};
 
 struct DeltaStarResult {
   double value = 0.0;  // delta*(S): the upper end of [lower, value]
   double lower = 0.0;  // certified lower bound (= value on exact paths)
   Vec point;           // deterministic witness: gamma_(value,p)(S) member
   bool exact = false;  // the interval closed (always on the LP / closed-form
-                       // paths; never for general-p minimax)
+                       // paths)
   enum class Method {
     kGammaNonempty,    // delta* = 0
     kSimplexInradius,  // Lemma 13 closed form (possibly in a subspace)
-    kNumerical,        // cutting planes (p = 2), the delta LP (p in {1, inf})
-                       // or minimax (general p)
+    kNumerical,        // cutting planes (p = 2 and general p) or the delta
+                       // LP (p in {1, inf})
   } method = Method::kNumerical;
 };
 
@@ -55,10 +63,10 @@ DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
 DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
                                   double p, double tol = kTol);
 
-/// delta*_p(S) for general finite p >= 1: numerical minimax upper bound
-/// (p = 2 and p in {1, inf} dispatch to the certified paths above).
+/// delta*_p(S) for p >= 1 (p = 2 and p in {1, inf} dispatch above). Other p
+/// run delta_star_2 (a call of its own in the metrics), then case 5 from its
+/// witness; like delta_star_2 this never throws on the numerical case.
 DeltaStarResult delta_star_p(const std::vector<Vec>& s, std::size_t f,
-                             double p, double tol = kTol,
-                             MinimaxOptions opts = {});
+                             double p, double tol = kTol);
 
 }  // namespace rbvc

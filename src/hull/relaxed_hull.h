@@ -20,8 +20,8 @@ bool in_k_relaxed_hull(const Vec& u, const std::vector<Vec>& s, std::size_t k,
                        double tol = kTol);
 
 /// True iff u lies in the (delta,p)-relaxed hull H_(delta,p)(S)
-/// (Definition 9). p in {1, 2} or rbvc::kInfNorm are exact; other p >= 1 is
-/// iterative.
+/// (Definition 9). p in {1, 2} or rbvc::kInfNorm are exact; other p >= 1
+/// compare the upper end of a certified distance interval (distance.h).
 bool in_delta_p_hull(const Vec& u, const std::vector<Vec>& s, double delta,
                      double p, double tol = kTol);
 

@@ -92,6 +92,22 @@ Solution Model::translate_back(const Solution& raw) const {
   return out;
 }
 
+bool Model::satisfies(const Vec& x, double eps) const {
+  RBVC_REQUIRE(x.size() == obj_.size(), "satisfies: one value per variable");
+  for (std::size_t v = 0; v < x.size(); ++v) {
+    if (!free_[v] && x[v] < -eps) return false;
+  }
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    double lhs = 0.0;
+    for (const Term& t : rows_[i]) lhs += t.coeff * x[t.var];
+    if ((rels_[i] != Rel::kGe && lhs > rhs_[i] + eps) ||
+        (rels_[i] != Rel::kLe && lhs < rhs_[i] - eps)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 Solution Model::solve(const SimplexOptions& opts) const {
   const Lowered& lo = lower();
   return translate_back(solve_standard(lo.a, lo.b, lo.c, opts));

@@ -52,6 +52,12 @@ class Model {
   /// model's sense (i.e. negated back for maximization).
   Solution solve(const SimplexOptions& opts = {}) const;
 
+  /// Whether x (one value per model variable) meets every row and every
+  /// x >= 0 bound to within eps. The simplex can report kOptimal for a
+  /// basis that drifted infeasible on ill-conditioned rows; callers that
+  /// certify a bound with the optimum check the answer here first.
+  bool satisfies(const Vec& x, double eps) const;
+
  private:
   struct Lowered {
     Matrix a;

@@ -45,7 +45,8 @@ void ConsensusNode::serve(const std::atomic<bool>& stop, int poll_ms) {
 
 void ConsensusNode::handle(Message m) {
   if (m.kind == "propose") {
-    if (m.meta.size() != 1 || m.payload.empty()) {
+    // Ids below n are nodes, and only a client chooses a node's input.
+    if (m.from < params_.prm.n || m.meta.size() != 1 || m.payload.empty()) {
       ++stats_.dropped;
       live_.dropped.fetch_add(1, std::memory_order_relaxed);
       return;

@@ -11,7 +11,8 @@
 // WitnessExchange / AsyncAveragingProcess run byte-identically to their sim
 // hosting. Node-level kinds:
 //   "propose" client -> node : meta = [instance], payload = this node's
-//                              input vector; starts the instance.
+//                              input vector; starts the instance. A
+//                              propose from a node id is dropped.
 //   "decided" node -> client : meta = [instance, ok], payload = decision
 //                              (empty when the instance failed).
 // Messages that outrun their propose (a peer's round-0 broadcast arriving

@@ -379,6 +379,13 @@ void TcpTransport::reader_loop(int fd, ProcessId peer, std::string buf) {
         const std::uint64_t t0 = obs::events::now_ns();
         Message m = wire::decode_message(f->body);
         const std::uint64_t decode_ns = obs::events::now_ns() - t0;
+        // The handshake named the sender, and channels are authenticated
+        // point-to-point: a frame that claims another sender, or another
+        // recipient, poisons the stream like a decode error.
+        if (m.from != peer || m.to != self_) {
+          throw wire::WireError("wire: frame routing does not match the "
+                                "connection");
+        }
         // The sender's Lamport stamp rides at the meta tail; strip it before
         // the message reaches protocol code and merge so every event this
         // node records after delivery is ordered after the send.

@@ -1,26 +1,31 @@
-// Certified solver for the Euclidean min-max hull-distance problem behind
-// ALGO's Step 2 and the Relaxed Verified Averaging round-0 rule (paper
+// Certified solvers for the min-max hull-distance problem behind ALGO's
+// Step 2, the Relaxed Verified Averaging round-0 rule and Theorem 14 (paper
 // Secs. 9-10):
 //
-//     delta* = min_{x in R^d}  max_i  dist_2(x, H(S_i))
+//     delta*_p = min_{x in R^d}  max_i  dist_p(x, H(S_i))
 //
-// Kelley's cutting-plane (outer-approximation) method over (x, t): minimize
-// t subject to cuts  t >= u . x - sigma_i(u), one per projection of an
-// iterate onto a hull H(S_i) farther away than the current lower bound,
-// where u is the unit vector from the projection to the iterate and
-// sigma_i is the support function of H(S_i). Every cut is valid for any
-// unit u, so the master LP's optimum is a certified lower bound; the best
-// iterate's max distance is the upper bound, and that iterate is the
-// witness. x is confined to the coordinate box of the union of the sets,
-// which holds a minimizer: projecting onto the hull of the union shortens
-// the distance to every H(S_i).
+// Kelley's cutting-plane (outer-approximation) method: minimize t over a
+// master LP, adding a cut for every hull farther from the master's answer
+// than the lower bound. Every cut is valid, so the master's optimum is a
+// certified lower bound; the best iterate's max distance is the upper bound
+// and that iterate the witness. x stays in the coordinate box of the union,
+// which holds a minimizer for every p: clamping x into it shortens every
+// coordinate of x - y for any y in any H(S_i).
 //
-// Each round cold-solves the master (one lp::Model gaining rows); there is
-// no warm start, no cut selection and no cut pruning, and no state outlives
-// a call. Every master answer is checked against the master's rows: late
-// in the loop nearly parallel cuts make the master ill-conditioned, and the
-// simplex can then return a drifted, infeasible "optimum". Such an answer
-// does not move the lower bound, but the loop goes on from its point.
+// p = 2: the master is over (x, t), each cut  t >= u . x - sigma_i(u)  from
+// a Wolfe projection (u the unit vector from it to the iterate, sigma_i the
+// support function). Any finite p: the master is the epigraph over (x, t,
+// lambda_i in the simplex per set), each cut  t >= g . (x - V_i lambda_i)
+// a tangent of ||.||_p at the residual; ||g||_q = 1 makes it valid
+// (Hoelder).
+//
+// One loop serves both: a cold master solve per round (no warm start, cut
+// selection or pruning; no state outlives a call), stopping when the gap
+// closes to tol * max(1, diam), or with the interval so far at 64 rounds,
+// 512 cut rows or a non-optimal master. Nearly parallel cuts can make the
+// simplex return a drifted, infeasible "optimum", so every answer is checked
+// against the master's rows (lp::Model::satisfies); one that fails is
+// counted and moves no bound, and the loop goes on from its point.
 #pragma once
 
 #include <vector>
@@ -31,19 +36,29 @@ namespace rbvc {
 
 struct OuterApproxResult {
   double lower = 0.0;      // certified lower bound on delta*
-  double upper = 0.0;      // max_i dist_2(point, H(S_i)) >= delta*
+  double upper = 0.0;      // max distance at the witness, >= delta*
   Vec point;               // best iterate found: the witness of `upper`
-  std::size_t rounds = 0;  // master LP solves
-  std::size_t cuts = 0;    // cut rows added to the master
-  bool closed = false;     // upper - lower <= tol * max(1, diam of the union)
+  std::vector<Vec> coeffs;   // general p: the witness's lambda_i per set
+  std::size_t rounds = 0;    // master LP solves
+  std::size_t cuts = 0;      // cut rows added to the master
+  std::size_t rejected = 0;  // master answers that violated its rows
+  bool closed = false;       // upper - lower <= tol * max(1, diam)
 };
 
-/// Brackets min_x max_i dist_2(x, H(sets[i])) starting from `init` (the
-/// first iterate). Stops once the gap closes, at a fixed cap on rounds or on
-/// cut rows, or when the master LP stops short of an optimum; the last
-/// three return the interval found so far with `closed` false. Never throws
-/// for non-empty sets of finite points sharing one dimension.
+/// Brackets min_x max_i dist_2(x, H(sets[i])) starting from `init`, with
+/// diam the diameter of the union. Never throws for non-empty sets of
+/// finite points sharing one dimension.
 OuterApproxResult certified_min_max_hull_distance(
     const std::vector<PointView>& sets, Vec init, double tol = kTol);
+
+/// Brackets min_x max_i dist_p(x, H(sets[i])) for finite p >= 1, starting
+/// from x = init with init_coeffs[i] as the weights over sets[i];
+/// upper = max_i ||point - V_i coeffs[i]||_p. With `pinned`, x stays at
+/// init, so one set gives the Lp distance from init to its hull. diam is
+/// taken over the points and the box. Never throws for non-empty sets of
+/// finite points sharing one dimension.
+OuterApproxResult certified_min_max_hull_distance_p(
+    const std::vector<PointView>& sets, double p, Vec init,
+    std::vector<Vec> init_coeffs, double tol = kTol, bool pinned = false);
 
 }  // namespace rbvc

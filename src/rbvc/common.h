@@ -15,8 +15,8 @@ namespace rbvc {
 /// feasibility, distances). Callers may override per call.
 inline constexpr double kTol = 1e-9;
 
-/// Looser tolerance for iterative numerical results (subgradient minimax,
-/// cyclic projections) whose accuracy is limited by iteration budget.
+/// Looser tolerance for callers comparing numerical results whose accuracy
+/// is limited by an iteration budget or a solver's own tolerance.
 inline constexpr double kLooseTol = 1e-6;
 
 /// Value representing the L-infinity norm when a norm order parameter `p`

@@ -29,7 +29,6 @@
 #include "geometry/simplex_geometry.h"
 #include "geometry/tverberg.h"
 
-#include "opt/minimax.h"
 #include "opt/outer_approx.h"
 
 #include "hull/delta_star.h"

@@ -97,15 +97,20 @@ TEST(CrossValidationCaratheodory, SupportAgreesWithLp) {
 }
 
 TEST(CrossValidationDeltaStar, ThreeEnginesOneSimplex) {
-  // Closed form (inradius), the delta LP (Linf scaled), and minimax all
-  // describe delta* of the same simplex consistently.
+  // Closed form (inradius), the delta LP (Linf scaled), and the general-p
+  // cutting planes run at p = 2 all describe delta* of the same simplex
+  // consistently.
   Rng rng(1229);
   const auto s = workload::random_simplex(rng, 3);
   const double exact = delta_star_2(s, 1).value;
-  const double numeric =
-      min_max_hull_distance(drop_f_subsets(s, 1), mean(s)).value;
+  const auto views = drop_f_views(s, 1);
+  const auto numeric = certified_min_max_hull_distance_p(
+      views, 2.0, mean(s),
+      std::vector<Vec>(views.size(), Vec(s.size() - 1, 1.0 / 3.0)));
   const double linf = delta_star_linear(s, 1, kInfNorm).value;
-  EXPECT_NEAR(exact, numeric, exact * 0.03);
+  EXPECT_TRUE(numeric.closed);
+  EXPECT_LE(numeric.lower, exact + 1e-12);
+  EXPECT_GE(numeric.upper, exact - 1e-12);
   EXPECT_LE(linf, exact + 1e-9);                       // norm ordering
   EXPECT_GE(std::sqrt(3.0) * linf + 1e-9, exact);      // equivalence
 }

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "consensus/async_averaging.h"
+#include "hull/relaxed_hull.h"
 #include "opt/outer_approx.h"
 #include "sim/rng.h"
 #include "workload/generators.h"
@@ -151,12 +152,154 @@ TEST(DeltaStarTest, NormOrderingAcrossP) {
 }
 
 TEST(DeltaStarTest, GeneralPUpperBound) {
-  // delta*_p <= delta*_2 for p >= 2 (Theorem 14's first step).
+  // delta*_p <= delta*_2 for p >= 2 (Theorem 14's first step). The loop
+  // starts at delta*_2's witness, so this holds by construction.
   Rng rng(269);
   const auto s = workload::random_simplex(rng, 3);
   const auto d2 = delta_star_2(s, 1);
   const auto d4 = delta_star_p(s, 1, 4.0);
-  EXPECT_LE(d4.value, d2.value + 1e-3);
+  EXPECT_LE(d4.value, d2.value);
+  EXPECT_LE(d4.lower, d4.value);
+  EXPECT_TRUE(d4.exact);
+}
+
+TEST(DeltaStarTest, GeneralPCertifiedOnLpNormsBenchDraw) {
+  // E4's first d = 4 simplex (bench_lp_norms): Theorem 14 puts delta*_p
+  // below delta*_2 = 0.0221538 for p >= 2; the certified values are
+  // 0.0194539 (p = 3) and 0.0181416 (p = 4).
+  Rng rng(4 * 977);
+  const auto s = workload::random_simplex(rng, 4);
+  const auto d2 = delta_star_2(s, 1);
+  EXPECT_NEAR(d2.value, 0.0221538, 1e-7);
+  const double certified[] = {0.0194539, 0.0181416};
+  for (int i = 0; i < 2; ++i) {
+    const double p = 3.0 + i;
+    const auto dp = delta_star_p(s, 1, p);
+    EXPECT_EQ(dp.method, DeltaStarResult::Method::kNumerical);
+    EXPECT_LE(dp.value, d2.value) << "p=" << p;
+    EXPECT_LE(dp.lower, dp.value) << "p=" << p;
+    EXPECT_NEAR(dp.value, certified[i], 1e-7) << "p=" << p;
+    EXPECT_LE(gamma_excess(dp.point, s, 1, p), dp.value + 1e-8) << "p=" << p;
+  }
+}
+
+// The general-p cutting-plane routine on its own (opt/outer_approx.h).
+
+// Starts at init with uniform weights.
+OuterApproxResult general_p(const std::vector<std::vector<Vec>>& sets,
+                            double p, Vec init) {
+  std::vector<Vec> coeffs;
+  for (const auto& set : sets) {
+    coeffs.emplace_back(set.size(), 1.0 / static_cast<double>(set.size()));
+  }
+  return certified_min_max_hull_distance_p(
+      std::vector<PointView>(sets.begin(), sets.end()), p, std::move(init),
+      std::move(coeffs));
+}
+
+TEST(OuterApproxPTest, ZeroWhenHullsIntersect) {
+  const std::vector<std::vector<Vec>> sets = {
+      {{0.0, 0.0}, {2.0, 0.0}, {0.0, 2.0}},
+      {{1.0, 1.0}, {3.0, 1.0}, {1.0, 3.0}},
+  };
+  for (double p : {1.5, 3.0}) {
+    const auto r = general_p(sets, p, {5.0, 5.0});
+    EXPECT_TRUE(r.closed) << "p=" << p;
+    EXPECT_LT(r.upper, 1e-9) << "p=" << p;
+    EXPECT_GE(r.lower, 0.0) << "p=" << p;
+  }
+}
+
+TEST(OuterApproxPTest, TwoPointsMidpoint) {
+  // Two singleton hulls at distance 2: the optimum is the midpoint, value 1,
+  // in every Lp norm.
+  const std::vector<std::vector<Vec>> sets = {{{-1.0, 0.0}}, {{1.0, 0.0}}};
+  for (double p : {1.5, 3.0, 4.0}) {
+    const auto r = general_p(sets, p, {0.3, 0.7});
+    EXPECT_TRUE(r.closed) << "p=" << p;
+    EXPECT_LE(r.lower, 1.0 + 1e-12) << "p=" << p;
+    EXPECT_NEAR(r.upper, 1.0, 1e-9) << "p=" << p;
+    EXPECT_NEAR(r.point[0], 0.0, 1e-9) << "p=" << p;
+    EXPECT_NEAR(r.point[1], 0.0, 1e-9) << "p=" << p;
+  }
+}
+
+TEST(OuterApproxPTest, IntervalAtP2ContainsSimplexInradius) {
+  // For a simplex's facets the min-max L2 distance is the inradius
+  // (Lemma 13).
+  Rng rng(111);
+  for (int rep = 0; rep < 6; ++rep) {
+    const std::size_t d = 2 + rep % 3;
+    const auto verts = workload::random_simplex(rng, d);
+    const auto g = SimplexGeometry::build(verts);
+    ASSERT_TRUE(g.has_value());
+    const auto r = general_p(drop_f_subsets(verts, 1), 2.0, mean(verts));
+    EXPECT_TRUE(r.closed) << "d=" << d << " rep=" << rep;
+    EXPECT_LE(r.lower, g->inradius() + 1e-12) << "d=" << d << " rep=" << rep;
+    EXPECT_GE(r.upper, g->inradius() - 1e-12) << "d=" << d << " rep=" << rep;
+  }
+}
+
+TEST(OuterApproxPTest, UpperIsTheMaxDistanceAtTheWitness) {
+  Rng rng(113);
+  const auto pts = workload::random_simplex(rng, 3);
+  const auto sets = drop_f_subsets(pts, 1);
+  for (double p : {2.0, 3.0}) {
+    const auto r = general_p(sets, p, mean(pts));
+    ASSERT_EQ(r.coeffs.size(), sets.size());
+    double at_weights = 0.0;
+    double at_point = 0.0;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      Vec y = zeros(3);
+      for (std::size_t k = 0; k < sets[i].size(); ++k) {
+        EXPECT_GE(r.coeffs[i][k], 0.0);
+        axpy(r.coeffs[i][k], sets[i][k], y);
+      }
+      at_weights = std::max(at_weights, lp_dist(r.point, y, p));
+      at_point = std::max(at_point, distance_to_hull(r.point, sets[i], p));
+    }
+    EXPECT_EQ(r.upper, at_weights) << "p=" << p;
+    EXPECT_LE(at_point, r.upper + 1e-9) << "p=" << p;
+    EXPECT_LE(r.lower, at_point + 1e-9) << "p=" << p;
+  }
+}
+
+TEST(OuterApproxPTest, DeterministicForFixedInput) {
+  const std::vector<std::vector<Vec>> sets = {{{-1.0, 0.0}}, {{1.0, 1.0}}};
+  const auto a = general_p(sets, 3.0, {0.0, 0.0});
+  const auto b = general_p(sets, 3.0, {0.0, 0.0});
+  EXPECT_EQ(a.upper, b.upper);
+  EXPECT_EQ(a.lower, b.lower);
+  EXPECT_EQ(a.point, b.point);
+  EXPECT_EQ(a.coeffs, b.coeffs);
+}
+
+TEST(OuterApproxPTest, RespectsRoundAndCutCaps) {
+  // From its centroid this simplex needs more than 64 rounds at p = 4: the
+  // loop stops at the round cap and returns the interval found so far.
+  Rng rng(1011);
+  const auto pts = workload::random_simplex(rng, 3);
+  const auto sets = drop_f_subsets(pts, 1);
+  const auto r = general_p(sets, 4.0, mean(pts));
+  EXPECT_FALSE(r.closed);
+  EXPECT_EQ(r.rounds, 64u);
+  EXPECT_LE(r.cuts, 512u + sets.size());
+  EXPECT_LE(r.lower, r.upper);
+  EXPECT_LT(r.upper - r.lower, 1e-7);
+}
+
+TEST(OuterApproxPTest, InvalidArgumentsThrow) {
+  EXPECT_THROW(certified_min_max_hull_distance_p({}, 3.0, {0.0}, {}),
+               invalid_argument);
+  const std::vector<Vec> one = {{1.0}};
+  EXPECT_THROW(
+      certified_min_max_hull_distance_p({one}, kInfNorm, {0.0}, {Vec{1.0}}),
+      invalid_argument);
+  EXPECT_THROW(certified_min_max_hull_distance_p({one}, 3.0, {0.0}, {}),
+               invalid_argument);
+  EXPECT_THROW(
+      certified_min_max_hull_distance_p({one}, 3.0, {0.0}, {Vec{0.5, 0.5}}),
+      invalid_argument);
 }
 
 TEST(DeltaStarTest, ValidatesArguments) {

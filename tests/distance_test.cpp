@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "opt/outer_approx.h"
 #include "sim/rng.h"
 #include "workload/generators.h"
 
@@ -45,16 +46,16 @@ TEST(DistanceTest, GeneralPBetweenTwoAndInf) {
     const double d2 = distance_to_hull(u, pts, 2.0);
     const double d3 = distance_to_hull(u, pts, 3.0);
     const double dinf = distance_to_hull(u, pts, kInfNorm);
-    // d3 is an approximation: allow loose tolerance.
-    EXPECT_LE(d3, d2 + 1e-3) << "rep " << rep;
-    EXPECT_GE(d3, dinf - 1e-3) << "rep " << rep;
+    // d3 is the upper end of a certified interval closed to 1e-9 * diam.
+    EXPECT_LE(d3, d2 + 1e-8) << "rep " << rep;
+    EXPECT_GE(d3, dinf - 1e-8) << "rep " << rep;
   }
 }
 
 TEST(DistanceTest, GeneralPOnSinglePoint) {
   const std::vector<Vec> one = {{1.0, 1.0, 1.0}};
   const Vec u = {0.0, 0.0, 0.0};
-  EXPECT_NEAR(distance_to_hull(u, one, 3.0), std::pow(3.0, 1.0 / 3.0), 1e-4);
+  EXPECT_NEAR(distance_to_hull(u, one, 3.0), std::pow(3.0, 1.0 / 3.0), 1e-12);
 }
 
 TEST(DistanceTest, LpProjectionReturnsHullPoint) {
@@ -80,7 +81,8 @@ TEST(DistanceTest, InvalidPThrows) {
   EXPECT_THROW(distance_to_hull({0.0}, single, 0.5), invalid_argument);
   EXPECT_THROW(detail::lp_projection_via_lp({0.0}, single, 2.0, kTol),
                invalid_argument);
-  EXPECT_THROW(detail::lp_projection_frank_wolfe({0.0}, single, kInfNorm),
+  EXPECT_THROW(certified_min_max_hull_distance_p({single}, kInfNorm, {0.0},
+                                                 {Vec{1.0}}, kTol, true),
                invalid_argument);
 }
 

@@ -82,6 +82,24 @@ TEST(ModelTest, UnknownVariableThrows) {
   EXPECT_THROW(m.set_objective_coeff(9, 1.0), invalid_argument);
 }
 
+TEST(ModelTest, SatisfiesChecksRowsAndBounds) {
+  // x >= 0, y free:  x + y <= 4,  x - y >= -1,  x + 2y == 3.
+  Model m;
+  const auto x = m.add_var();
+  const auto y = m.add_var(0.0, /*free=*/true);
+  m.add_constraint({{x, 1.0}, {y, 1.0}}, Rel::kLe, 4.0);
+  m.add_constraint({{x, 1.0}, {y, -1.0}}, Rel::kGe, -1.0);
+  m.add_constraint({{x, 1.0}, {y, 2.0}}, Rel::kEq, 3.0);
+  EXPECT_TRUE(m.satisfies({1.0, 1.0}, 0.0));
+  EXPECT_TRUE(m.satisfies({1.0 + 1e-7, 1.0}, 1e-6));  // within eps
+  EXPECT_FALSE(m.satisfies({1.0 + 1e-7, 1.0}, 1e-9));  // equality off
+  EXPECT_FALSE(m.satisfies({-1.0, 2.0}, 1e-9));        // x < 0
+  EXPECT_TRUE(m.satisfies({5.0, -1.0}, 1e-9));         // y may be negative
+  EXPECT_FALSE(m.satisfies({0.0, 1.5}, 1e-9));         // x - y < -1
+  EXPECT_FALSE(m.satisfies({7.0, -2.0}, 1e-9));        // x + y > 4
+  EXPECT_THROW(m.satisfies({1.0}, 1e-9), rbvc::invalid_argument);
+}
+
 TEST(ModelTest, SetObjectiveLater) {
   Model m;
   const auto x = m.add_var();

@@ -94,6 +94,24 @@ TEST(ClusterTest, PipelinedInstancesOverLocalBus) {
   EXPECT_EQ(proposed, kN * opt.instances);
 }
 
+// Ids below n are nodes: a node's propose would choose a correct node's
+// input and receive its decision reports, so only a client's counts.
+TEST(ClusterTest, ProposeFromANodeIdIsDropped) {
+  constexpr std::size_t kN = 4;
+  LocalBus bus(kN + 1);  // nodes 0..3, client 4
+  ConsensusNode node(node_params(kN, 1), bus.endpoint(0));
+  const rbvc::sim::Message propose("propose", {0}, Vec{5.0, 5.0});
+  bus.endpoint(1).send(0, propose);
+  ASSERT_TRUE(node.step(10000));
+  EXPECT_EQ(node.stats().proposed, 0u);
+  EXPECT_EQ(node.stats().dropped, 1u);
+  bus.endpoint(kN).send(0, propose);
+  ASSERT_TRUE(node.step(10000));
+  EXPECT_EQ(node.stats().proposed, 1u);
+  EXPECT_EQ(node.stats().dropped, 1u);
+  bus.close();
+}
+
 TEST(ClusterTest, DecisionsStayNearTheInputs) {
   constexpr std::size_t kN = 4;
   LocalBus bus(kN + 1);

@@ -17,6 +17,7 @@
 
 #include "net/tcp_transport.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "protocols/bracha_rbc.h"
 
 namespace {
@@ -233,6 +234,64 @@ TEST(TcpTransportTest, SilentClientDoesNotWedgeAcceptorOrClose) {
   server->close();  // must return despite the still-silent connection
   ::close(silent);
   ::close(talker);
+}
+
+// A peer speaks only for itself: the hello names the sender, so a frame
+// claiming another sender (or addressed to another node) is counted as a
+// wire error and drops the connection instead of being delivered.
+TEST(TcpTransportTest, FrameClaimingAnotherSenderIsDropped) {
+  std::uint16_t port = 0;
+  const int lfd = listen_loopback(port);
+  // Endpoint 0 never dials 1..3 (only the higher id dials), so the raw
+  // sockets below fully control the accept side. Each connection speaks
+  // for its own id, so no handshake races a drop.
+  TcpTransport server(0,
+                      std::vector<HostPort>{{"127.0.0.1", port},
+                                            {"127.0.0.1", 1},
+                                            {"127.0.0.1", 1},
+                                            {"127.0.0.1", 1}},
+                      lfd, TcpOptions{});
+  const rbvc::obs::Counter& errors =
+      rbvc::obs::global().counter("net.wire_errors");
+  const auto wait_for_errors = [&](std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (errors.value() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return errors.value() >= n;
+  };
+  const std::uint64_t before = errors.value();
+
+  Message forged("forged", {1});
+  forged.from = 1;  // the connection introduced itself as 2
+  Message behind("behind", {2});
+  behind.from = 2;
+  const int a = dial_loopback(port);
+  send_all(a, hello_frame(2) + wire::frame_message(forged) +
+                  wire::frame_message(behind));
+  EXPECT_TRUE(wait_for_errors(before + 1));
+
+  Message misaddressed("misaddressed", {3});
+  misaddressed.from = 1;
+  misaddressed.to = 3;
+  const int b = dial_loopback(port);
+  send_all(b, hello_frame(1) + wire::frame_message(misaddressed));
+  EXPECT_TRUE(wait_for_errors(before + 2));
+
+  Message honest("honest", {4});
+  honest.from = 3;
+  const int c = dial_loopback(port);
+  send_all(c, hello_frame(3) + wire::frame_message(honest));
+  auto r = server.receive(10000);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->kind, "honest");
+  EXPECT_EQ(r->from, 3u);
+  EXPECT_FALSE(server.receive(50).has_value());
+  ::close(a);
+  ::close(b);
+  ::close(c);
+  server.close();
 }
 
 TEST(TcpTransportTest, ReceiveAfterCloseReportsClosed) {

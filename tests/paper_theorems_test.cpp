@@ -207,7 +207,7 @@ TEST(Theorem14, LpBoundScaling) {
     for (double p : {2.0, 4.0, kInfNorm}) {
       const auto dp = delta_star_p(s, 1, p);
       // delta*_p <= delta*_2 for p >= 2 ...
-      EXPECT_LE(dp.value, d2.value + 1e-3) << "p=" << p;
+      EXPECT_LE(dp.value, d2.value) << "p=" << p;
       // ... and the scaled Theorem 9 bound holds in Lp.
       const double kappa = std::min(0.5, 1.0 / static_cast<double>(d - 1));
       const double factor =

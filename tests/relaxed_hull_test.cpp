@@ -11,6 +11,18 @@
 namespace rbvc {
 namespace {
 
+TEST(RelaxedHullTest, GeneralPInteriorPointsAreMembers) {
+  // Points inside the unit square are at distance 0 in every norm, so
+  // general p must certify membership at a relaxation far below 1e-4.
+  const std::vector<Vec> square = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
+  for (const Vec& u : {Vec{0.3, 0.6}, Vec{0.9, 0.2}, Vec{0.5, 0.5}}) {
+    for (double p : {1.5, 3.0, 4.0}) {
+      EXPECT_TRUE(in_delta_p_hull(u, square, 1e-4, p))
+          << "u=(" << u[0] << ", " << u[1] << ") p=" << p;
+    }
+  }
+}
+
 TEST(RelaxedHullTest, KEqualsDMatchesExactHull) {
   Rng rng(137);
   const auto s = workload::gaussian_cloud(rng, 6, 3);

@@ -4,6 +4,7 @@
 
 #include "geometry/distance.h"
 #include "geometry/hull.h"
+#include "opt/outer_approx.h"
 #include "sim/rng.h"
 #include "workload/generators.h"
 
@@ -99,11 +100,13 @@ TEST(WolfeTest, HighDimensionStress) {
   const auto pts = workload::gaussian_cloud(rng, 20, 12);
   const Vec u = scale(4.0, rng.normal_vec(12));
   const auto pr = project_to_hull(u, pts);
-  // Verify against the Frank-Wolfe estimate (upper bound agreement).
-  const double fw =
-      detail::lp_projection_frank_wolfe(u, pts, 2.0, 50'000).distance;
-  EXPECT_LE(pr.distance, fw + 1e-4);
-  EXPECT_NEAR(pr.distance, fw, 5e-3);
+  // Verify against the certified interval of the general-p cutting planes
+  // run at p = 2 with the box pinned at u.
+  const auto ref = certified_min_max_hull_distance_p(
+      {pts}, 2.0, u, {Vec(pts.size(), 1.0 / 20.0)}, kTol, /*pinned=*/true);
+  ASSERT_TRUE(ref.closed);
+  EXPECT_GE(pr.distance, ref.lower - 1e-12);
+  EXPECT_LE(pr.distance, ref.upper + 1e-12);
 }
 
 }  // namespace
