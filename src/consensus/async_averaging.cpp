@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "hull/gamma.h"
+#include "obs/events.h"
+#include "obs/metrics.h"
 
 namespace rbvc::consensus {
 
@@ -37,7 +39,7 @@ void AsyncAveragingProcess::on_message(const sim::Message& m,
         pd.view.push_back(static_cast<ProcessId>(id));
       }
       if (!ok) {
-        ++rejected_;
+        reject(d.source, VerifyReject::kBadViewId);
         continue;
       }
       unverified_[d.instance].emplace(d.source, std::move(pd));
@@ -98,6 +100,16 @@ Vec AsyncAveragingProcess::mean_value(
   return mean(view_values);
 }
 
+void AsyncAveragingProcess::reject(ProcessId from, VerifyReject why) {
+  ++rejected_;
+  // Minted at the first rejection of each reason, so runs without
+  // rejections keep their registry key set.
+  obs::counter(obs::m::verify_rejects, static_cast<std::size_t>(why)).inc();
+  obs::events::emit(obs::events::Type::kVerifyReject, -1,
+                    static_cast<std::int64_t>(from),
+                    static_cast<std::int64_t>(why));
+}
+
 bool AsyncAveragingProcess::verify_one(int round, ProcessId src,
                                        const PendingDelivery& pd) {
   // Round-0 values are inputs: nothing to verify.
@@ -109,7 +121,7 @@ bool AsyncAveragingProcess::verify_one(int round, ProcessId src,
   if (pd.view.size() < quorum() ||
       !std::is_sorted(pd.view.begin(), pd.view.end()) ||
       std::adjacent_find(pd.view.begin(), pd.view.end()) != pd.view.end()) {
-    ++rejected_;
+    reject(src, VerifyReject::kMalformedView);
     unverified_[round].erase(src);
     return false;
   }
@@ -124,12 +136,12 @@ bool AsyncAveragingProcess::verify_one(int round, ProcessId src,
     expect = (round == 1) ? rule_value(base) : mean_value(base);
   } catch (const numerical_error&) {
     // The claimed view makes the deterministic rule fail -> invalid value.
-    ++rejected_;
+    reject(src, VerifyReject::kRuleThrew);
     unverified_[round].erase(src);
     return false;
   }
   if (!approx_equal(expect, pd.value, 1e-7)) {
-    ++rejected_;
+    reject(src, VerifyReject::kValueMismatch);
     unverified_[round].erase(src);
     return false;
   }

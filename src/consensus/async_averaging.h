@@ -34,6 +34,16 @@
 
 namespace rbvc::consensus {
 
+/// Why verification refused a delivered value outright. The value indexes
+/// the consensus.verify_rejects.<reason> counters and is the `b` of the
+/// kVerifyReject event; append new reasons at the end.
+enum class VerifyReject {
+  kBadViewId,      // the view names an id outside [0, n)
+  kMalformedView,  // view too small, unsorted, or with a repeated id
+  kRuleThrew,      // the round-0 rule fails on the claimed view
+  kValueMismatch,  // the value is not the rule's output on its view
+};
+
 class AsyncAveragingProcess : public sim::AsyncProcess {
  public:
   enum class Round0Rule {
@@ -78,6 +88,8 @@ class AsyncAveragingProcess : public sim::AsyncProcess {
   /// This process's value at the start of each round (h[0] = input, ...).
   const std::vector<Vec>& history() const { return history_; }
   /// Deliveries whose verification failed outright (Byzantine evidence).
+  /// Each one also bumps consensus.verify_rejects.<reason> and emits a
+  /// kVerifyReject event (a = sender, b = VerifyReject).
   std::size_t rejected() const { return rejected_; }
 
  private:
@@ -89,6 +101,7 @@ class AsyncAveragingProcess : public sim::AsyncProcess {
   std::size_t quorum() const {
     return prm_.quorum_override ? prm_.quorum_override : prm_.n - prm_.f;
   }
+  void reject(protocols::ProcessId from, VerifyReject why);
   void advance(protocols::Outbox& out);
   void try_verify(protocols::Outbox& out);
   bool verify_one(int round, protocols::ProcessId src,

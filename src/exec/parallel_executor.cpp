@@ -40,14 +40,13 @@ ParallelExecutor::ParallelExecutor(std::size_t jobs)
   // never erases entries, so the set of metric names -- and with it the
   // byte layout of any registry snapshot (e.g. the one embedded in repro
   // files) -- must not depend on how many workers ran.
-  obs::Registry& reg = obs::global();
-  reg.gauge("exec.jobs").set(static_cast<double>(jobs_));
-  reg.counter("exec.batches");
-  reg.counter("exec.tasks");
-  reg.counter("exec.tasks_skipped");
-  reg.counter("exec.steals");
-  reg.histogram("exec.queue_depth", obs::count_buckets());
-  reg.histogram("exec.worker_busy_seconds", obs::time_buckets());
+  obs::gauge(obs::m::exec_jobs).set(static_cast<double>(jobs_));
+  obs::counter(obs::m::exec_batches);
+  obs::counter(obs::m::exec_tasks);
+  obs::counter(obs::m::exec_tasks_skipped);
+  obs::counter(obs::m::exec_steals);
+  obs::histogram(obs::m::exec_queue_depth);
+  obs::histogram(obs::m::exec_worker_busy_seconds);
   if (jobs_ <= 1) return;  // inline mode: no queues, no threads
   queues_.reserve(jobs_);
   for (std::size_t w = 0; w < jobs_; ++w) {
@@ -86,14 +85,12 @@ std::size_t ParallelExecutor::run_batch(
     std::size_t n, const std::function<bool(std::size_t)>& body,
     bool early_exit) {
   if (n == 0) return kNoIndex;
-  obs::Registry& reg = obs::global();
-  reg.counter("exec.batches").inc();
+  obs::counter(obs::m::exec_batches).inc();
   if (jobs_ <= 1 || threads_.empty() || n == 1) {
     // Inline serial path: index order, caller's thread, no pool machinery.
-    obs::Counter& tasks = reg.counter("exec.tasks");
     std::size_t hit = kNoIndex;
     for (std::size_t i = 0; i < n; ++i) {
-      tasks.inc();
+      obs::counter(obs::m::exec_tasks).inc();
       if (body(i)) {
         if (hit == kNoIndex) hit = i;
         if (early_exit) break;
@@ -162,11 +159,6 @@ void ParallelExecutor::worker_main(std::size_t w) {
 void ParallelExecutor::drain(std::size_t w,
                              const std::function<bool(std::size_t)>& body,
                              bool early_exit) {
-  obs::Registry& reg = obs::global();
-  obs::Counter& tasks = reg.counter("exec.tasks");
-  obs::Counter& skips = reg.counter("exec.tasks_skipped");
-  obs::Histogram& busy =
-      reg.histogram("exec.worker_busy_seconds", obs::time_buckets());
   double busy_seconds = 0.0;
   std::size_t idx = 0;
   while (acquire(w, idx)) {
@@ -174,7 +166,7 @@ void ParallelExecutor::drain(std::size_t w,
         abort_.load(std::memory_order_relaxed) ||
         (early_exit && idx > best_.load(std::memory_order_relaxed));
     if (skip) {
-      skips.inc();
+      obs::counter(obs::m::exec_tasks_skipped).inc();
     } else {
       const auto t0 = std::chrono::steady_clock::now();
       try {
@@ -194,20 +186,19 @@ void ParallelExecutor::drain(std::size_t w,
         abort_.store(true, std::memory_order_relaxed);
       }
       busy_seconds += seconds_since(t0);
-      tasks.inc();
+      obs::counter(obs::m::exec_tasks).inc();
     }
     remaining_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  busy.observe(busy_seconds);
+  obs::histogram(obs::m::exec_worker_busy_seconds).observe(busy_seconds);
 }
 
 bool ParallelExecutor::acquire(std::size_t w, std::size_t& idx) {
-  obs::Registry& reg = obs::global();
   {
     WorkerQueue& mine = *queues_[w];
     std::lock_guard<std::mutex> lock(mine.mu);
     if (!mine.q.empty()) {
-      reg.histogram("exec.queue_depth", obs::count_buckets())
+      obs::histogram(obs::m::exec_queue_depth)
           .observe(static_cast<double>(mine.q.size()));
       idx = mine.q.front();
       mine.q.pop_front();
@@ -221,7 +212,7 @@ bool ParallelExecutor::acquire(std::size_t w, std::size_t& idx) {
       // Steal from the back: the victim keeps its low (soon-run) indices.
       idx = victim.q.back();
       victim.q.pop_back();
-      reg.counter("exec.steals").inc();
+      obs::counter(obs::m::exec_steals).inc();
       return true;
     }
   }

@@ -31,7 +31,8 @@ std::int64_t now_ms() {
 std::uint64_t snapshot_episodes(const ShardResult& res) {
   try {
     const obs::Registry reg = obs::Registry::parse(res.metrics_json);
-    if (const obs::Counter* c = reg.find_counter("fleet.shard.episodes")) {
+    if (const obs::Counter* c =
+            reg.find_counter(obs::name(obs::m::fleet_shard_episodes))) {
       return c->value();
     }
   } catch (const std::exception&) {
@@ -376,17 +377,16 @@ void Coordinator::publish_metrics() const {
   // The single registry touch-point of the fleet layer, reached only with
   // cfg_.publish_metrics set; see the header's byte-identity rationale for
   // why it is opt-in and must stay at end-of-sweep.
-  obs::Registry& reg = obs::global();
-  reg.counter("fleet.shards.issued").inc(stats_.shards_issued);
-  reg.counter("fleet.shards.completed").inc(stats_.shards_completed);
-  reg.counter("fleet.shards.reassigned").inc(stats_.shards_reassigned);
-  reg.counter("fleet.workers.spawned").inc(stats_.workers_spawned);
-  reg.counter("fleet.workers.deaths").inc(stats_.worker_deaths);
-  reg.counter("fleet.workers.restarts").inc(stats_.worker_restarts);
-  reg.counter("fleet.episodes.completed").inc(stats_.episodes_run);
-  reg.counter("fleet.heartbeats").inc(stats_.heartbeats);
-  reg.counter("fleet.failures.reported").inc(stats_.failures_reported);
-  reg.gauge("fleet.merge.latency_us").set(stats_.merge_latency_us);
+  obs::counter(obs::m::fleet_shards_issued).inc(stats_.shards_issued);
+  obs::counter(obs::m::fleet_shards_completed).inc(stats_.shards_completed);
+  obs::counter(obs::m::fleet_shards_reassigned).inc(stats_.shards_reassigned);
+  obs::counter(obs::m::fleet_workers_spawned).inc(stats_.workers_spawned);
+  obs::counter(obs::m::fleet_workers_deaths).inc(stats_.worker_deaths);
+  obs::counter(obs::m::fleet_workers_restarts).inc(stats_.worker_restarts);
+  obs::counter(obs::m::fleet_episodes_completed).inc(stats_.episodes_run);
+  obs::counter(obs::m::fleet_heartbeats).inc(stats_.heartbeats);
+  obs::counter(obs::m::fleet_failures_reported).inc(stats_.failures_reported);
+  obs::gauge(obs::m::fleet_merge_latency_us).set(stats_.merge_latency_us);
 }
 
 }  // namespace rbvc::fleet

@@ -28,9 +28,9 @@ std::int64_t now_ms() {
 /// process-global registry (see the header's byte-identity invariant).
 std::string shard_metrics_json(std::uint64_t episodes_run, double wall_ms) {
   obs::Registry reg;
-  reg.counter("fleet.shard.episodes").inc(episodes_run);
-  reg.gauge("fleet.shard.wall_ms").set(wall_ms);
-  reg.gauge("fleet.shard.episodes_per_s")
+  reg.counter(obs::name(obs::m::fleet_shard_episodes)).inc(episodes_run);
+  reg.gauge(obs::name(obs::m::fleet_shard_wall_ms)).set(wall_ms);
+  reg.gauge(obs::name(obs::m::fleet_shard_episodes_per_s))
       .set(wall_ms > 0 ? 1000.0 * static_cast<double>(episodes_run) / wall_ms
                        : 0.0);
   return reg.dump_json();

@@ -18,8 +18,8 @@ lp::SimplexOptions options_for(double tol) {
 
 std::optional<Vec> hull_coefficients(const Vec& u, PointView pts, double tol) {
   RBVC_REQUIRE(!pts.empty(), "hull_coefficients: empty point set");
-  obs::global().counter("geom.hull.membership_lps").inc();
-  obs::ScopedTimer timer(obs::global(), "geom.hull.seconds");
+  obs::counter(obs::m::geom_hull_membership_lps).inc();
+  obs::ScopedTimer timer(obs::histogram(obs::m::geom_hull_seconds));
   const std::size_t d = u.size();
   for (const Vec& p : pts) {
     RBVC_REQUIRE(p.size() == d, "hull_coefficients: dimension mismatch");
@@ -50,8 +50,8 @@ bool in_hull(const Vec& u, PointView pts, double tol) {
 std::optional<Vec> hull_intersection_point(const std::vector<PointView>& sets,
                                            double tol) {
   RBVC_REQUIRE(!sets.empty(), "hull_intersection_point: no sets");
-  obs::global().counter("geom.hull.intersection_lps").inc();
-  obs::ScopedTimer timer(obs::global(), "geom.hull.seconds");
+  obs::counter(obs::m::geom_hull_intersection_lps).inc();
+  obs::ScopedTimer timer(obs::histogram(obs::m::geom_hull_seconds));
   const std::size_t d = sets.front().front().size();
   lp::Model m;
   const auto u0 = m.add_vars(d, 0.0, /*free=*/true);

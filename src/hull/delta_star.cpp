@@ -11,34 +11,19 @@ namespace rbvc {
 
 namespace {
 
-const char* method_label(DeltaStarResult::Method m) {
-  switch (m) {
-    case DeltaStarResult::Method::kGammaNonempty:
-      return "gamma_nonempty";
-    case DeltaStarResult::Method::kSimplexInradius:
-      return "simplex_inradius";
-    case DeltaStarResult::Method::kNumerical:
-      return "numerical";
-  }
-  return "unknown";
-}
-
 void record_call(const DeltaStarResult& out) {
-  obs::Registry& reg = obs::global();
-  reg.counter("geom.delta_star.calls").inc();
-  reg.counter(std::string("geom.delta_star.method.") +
-              method_label(out.method))
+  obs::counter(obs::m::geom_delta_star_calls).inc();
+  obs::counter(obs::m::delta_star_method, static_cast<std::size_t>(out.method))
       .inc();
 }
 
-// Once per call: by-name lookups take the registry mutex.
+// Once per cutting-plane call.
 void record_cut_work(const OuterApproxResult& oa) {
-  obs::Registry& reg = obs::global();
-  reg.counter("geom.delta_star.cut_rounds").inc(oa.rounds);
-  reg.counter("geom.delta_star.cuts").inc(oa.cuts);
-  if (!oa.closed) reg.counter("geom.delta_star.gap_open").inc();
+  obs::counter(obs::m::geom_delta_star_cut_rounds).inc(oa.rounds);
+  obs::counter(obs::m::geom_delta_star_cuts).inc(oa.cuts);
+  if (!oa.closed) obs::counter(obs::m::geom_delta_star_gap_open).inc();
   if (oa.rejected > 0) {
-    reg.counter("geom.delta_star.master_rejected").inc(oa.rejected);
+    obs::counter(obs::m::geom_delta_star_master_rejected).inc(oa.rejected);
   }
 }
 
@@ -82,7 +67,7 @@ SpanFrame make_frame(const std::vector<Vec>& s, double tol) {
 DeltaStarResult delta_star_2(const std::vector<Vec>& s, std::size_t f,
                              double tol, const MinimaxOptions& /*opts*/) {
   RBVC_REQUIRE(f >= 1 && f < s.size(), "delta_star_2: need 1 <= f < |S|");
-  obs::ScopedTimer timer(obs::global(), "geom.delta_star.seconds");
+  obs::ScopedTimer timer(obs::histogram(obs::m::geom_delta_star_seconds));
   DeltaStarResult out;
 
   const SpanFrame fr = make_frame(s, tol);
@@ -138,7 +123,7 @@ DeltaStarResult delta_star_linear(const std::vector<Vec>& s, std::size_t f,
   RBVC_REQUIRE(f >= 1 && f < s.size(), "delta_star_linear: need 1 <= f < |S|");
   RBVC_REQUIRE(p == 1.0 || p >= kInfNorm,
                "delta_star_linear: p must be 1 or inf");
-  obs::ScopedTimer timer(obs::global(), "geom.delta_star.seconds");
+  obs::ScopedTimer timer(obs::histogram(obs::m::geom_delta_star_seconds));
   DeltaStarResult out;
   if (auto g = gamma_point(s, f, tol)) {
     out.value = 0.0;
@@ -166,7 +151,7 @@ DeltaStarResult delta_star_p(const std::vector<Vec>& s, std::size_t f,
   RBVC_REQUIRE(p >= 1.0, "delta_star_p: p must be >= 1");
   if (p == 2.0) return delta_star_2(s, f, tol);
   if (p == 1.0 || p >= kInfNorm) return delta_star_linear(s, f, p, tol);
-  obs::ScopedTimer timer(obs::global(), "geom.delta_star.seconds");
+  obs::ScopedTimer timer(obs::histogram(obs::m::geom_delta_star_seconds));
   // Gamma(S) does not depend on p, and delta*_2's witness with each hull's
   // Wolfe weights is the start: for p >= 2 it already attains delta*_2's
   // value, since ||.||_p <= ||.||_2.

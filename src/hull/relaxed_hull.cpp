@@ -45,10 +45,10 @@ std::vector<PointView> drop_f_views(const std::vector<Vec>& s,
   const std::size_t n = s.size();
   auto it = memo.find({n, f});
   if (it != memo.end()) {
-    obs::global().counter("geom.workspace.subset_cache.hits").inc();
+    obs::counter(obs::m::geom_workspace_subset_cache_hits).inc();
   } else {
     auto lists = subsets_minus_f(n, f);
-    obs::global().counter("geom.workspace.subset_cache.misses").inc();
+    obs::counter(obs::m::geom_workspace_subset_cache_misses).inc();
     it = memo.emplace(std::make_pair(n, f), std::move(lists)).first;
   }
   std::vector<PointView> views;

@@ -207,10 +207,12 @@ class Tableau {
   std::vector<double> cost1_, cost2_;
 };
 
+// Bumped once per solve with the same elapsed time as lp.seconds.
+thread_local std::uint64_t t_solve_ns = 0;
+
 void record_outcome(const Solution& s, std::size_t pivots) {
-  obs::Registry& reg = obs::global();
-  reg.counter("lp.pivots").inc(pivots);
-  reg.counter(std::string("lp.status.") + to_string(s.status)).inc();
+  obs::counter(obs::m::lp_pivots).inc(pivots);
+  obs::counter(obs::m::lp_status, static_cast<std::size_t>(s.status)).inc();
 }
 
 // Trivial LP with no constraint rows: optimum 0 at x = 0 unless some cost
@@ -257,13 +259,14 @@ Solution run_two_phase(Tableau& t, const Vec& b, const SimplexOptions& opts) {
 
 }  // namespace
 
+std::uint64_t thread_solve_ns() { return t_solve_ns; }
+
 Solution solve_standard(const Matrix& a, const Vec& b, const Vec& c,
                         const SimplexOptions& opts) {
   RBVC_REQUIRE(a.rows() == b.size(), "simplex: A/b shape mismatch");
   RBVC_REQUIRE(a.cols() == c.size(), "simplex: A/c shape mismatch");
-  obs::Registry& reg = obs::global();
-  reg.counter("lp.solves").inc();
-  obs::ScopedTimer timer(reg, "lp.seconds");
+  obs::counter(obs::m::lp_solves).inc();
+  obs::ScopedTimer timer(obs::histogram(obs::m::lp_seconds), &t_solve_ns);
   if (a.rows() == 0) return solve_empty(a.cols(), c, opts);
 
   Tableau t;

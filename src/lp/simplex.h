@@ -12,6 +12,8 @@
 // is cold: no tableau or basis survives a call.
 #pragma once
 
+#include <cstdint>
+
 #include "linalg/matrix.h"
 
 namespace rbvc::lp {
@@ -24,6 +26,12 @@ enum class Status {
 };
 
 const char* to_string(Status s);
+
+/// Wall time of every solve this thread has run, in ns: the per-thread
+/// share of `lp.seconds`' sum. Two reads bracketing a span of the
+/// caller's own work give that span's LP time exactly, whatever other
+/// threads solve meanwhile.
+std::uint64_t thread_solve_ns();
 
 struct SimplexOptions {
   double tol = 1e-9;           // pivot / reduced-cost tolerance

@@ -27,31 +27,17 @@ struct Frame {
 // exception-clean, so unwinding mid-run is safe.
 struct PruneSignal {};
 
-// Eagerly-minted handles into the global registry. Minting everything up
-// front (first meters() call) keeps the registry key set independent of
-// which paths an exploration happens to take, which the byte-identical
-// repro-snapshot contract relies on.
-struct Meters {
-  obs::Counter& runs;
-  obs::Counter& states;
-  obs::Counter& sleep_skips;
-  obs::Counter& sleep_blocked;
-  obs::Counter& truncated;
-  obs::Counter& violations;
-  obs::Gauge& max_depth;
-};
-
-Meters& meters() {
-  static Meters m{
-      obs::global().counter("mc.runs"),
-      obs::global().counter("mc.states.explored"),
-      obs::global().counter("mc.sleep.skips"),
-      obs::global().counter("mc.sleep.blocked"),
-      obs::global().counter("mc.truncated_runs"),
-      obs::global().counter("mc.violations"),
-      obs::global().gauge("mc.max_depth"),
-  };
-  return m;
+// Mints every mc.* metric at the first exploration, so the registry key
+// set does not depend on which paths an exploration happens to take; the
+// byte-identical repro-snapshot contract relies on that.
+void mint_metrics() {
+  obs::counter(obs::m::mc_runs);
+  obs::counter(obs::m::mc_states_explored);
+  obs::counter(obs::m::mc_sleep_skips);
+  obs::counter(obs::m::mc_sleep_blocked);
+  obs::counter(obs::m::mc_truncated_runs);
+  obs::counter(obs::m::mc_violations);
+  obs::gauge(obs::m::mc_max_depth);
 }
 
 bool is_asleep(const Frame& f, std::size_t t) {
@@ -110,7 +96,7 @@ class PathSource final : public ChoiceSource {
     frames_.push_back(std::move(f));
     ++cursor_;
     ++st_.states;
-    if (meter_) meters().states.inc();
+    if (meter_) obs::counter(obs::m::mc_states_explored).inc();
     return t;
   }
 
@@ -145,7 +131,7 @@ class PathSource final : public ChoiceSource {
           !f.sleep[cj]) {
         f.sleep[cj] = 1;
         ++st_.sleep_skips;
-        if (meter_) meters().sleep_skips.inc();
+        if (meter_) obs::counter(obs::m::mc_sleep_skips).inc();
       }
     }
   }
@@ -182,15 +168,15 @@ ExploreResult explore_subtree(const RunFn& run, const ExploreOptions& opts,
     } catch (const PruneSignal&) {
       pruned = true;
       ++st.sleep_blocked;
-      if (meter) meters().sleep_blocked.inc();
+      if (meter) obs::counter(obs::m::mc_sleep_blocked).inc();
     }
     st.max_depth = std::max(st.max_depth, frames.size());
     if (!pruned) {
       ++st.runs;
-      if (meter) meters().runs.inc();
+      if (meter) obs::counter(obs::m::mc_runs).inc();
       if (v.truncated) {
         ++st.truncated_runs;
-        if (meter) meters().truncated.inc();
+        if (meter) obs::counter(obs::m::mc_truncated_runs).inc();
       }
       if (!v.failure.empty()) {
         res.found = true;
@@ -202,7 +188,7 @@ ExploreResult explore_subtree(const RunFn& run, const ExploreOptions& opts,
             res.witness.add_choice(f.taken);
           }
         }
-        if (meter) meters().violations.inc();
+        if (meter) obs::counter(obs::m::mc_violations).inc();
         st.complete = false;  // stopped at the first violation in DFS order
         break;
       }
@@ -218,7 +204,7 @@ ExploreResult explore_subtree(const RunFn& run, const ExploreOptions& opts,
       if (t < f.arity) {
         f.taken = t;
         ++st.states;
-        if (meter) meters().states.inc();
+        if (meter) obs::counter(obs::m::mc_states_explored).inc();
         advanced = true;
         break;
       }
@@ -232,7 +218,7 @@ ExploreResult explore_subtree(const RunFn& run, const ExploreOptions& opts,
 }  // namespace
 
 ExploreResult explore(const RunFn& run, const ExploreOptions& opts) {
-  Meters& m = meters();  // mint mc.* eagerly: stable registry key set
+  mint_metrics();
   const std::size_t jobs = opts.jobs != 0 ? opts.jobs : exec::default_jobs();
 
   // Bootstrap run along the all-first-options path to discover the root
@@ -261,16 +247,16 @@ ExploreResult explore(const RunFn& run, const ExploreOptions& opts) {
     // execution is the whole tree.
     ExploreResult res;
     res.stats.runs = 1;
-    m.runs.inc();
+    obs::counter(obs::m::mc_runs).inc();
     if (boot_v.truncated) {
       res.stats.truncated_runs = 1;
-      m.truncated.inc();
+      obs::counter(obs::m::mc_truncated_runs).inc();
     }
     if (!boot_v.failure.empty()) {
       res.found = true;
       res.failure = std::move(boot_v.failure);
       res.stats.complete = false;
-      m.violations.inc();
+      obs::counter(obs::m::mc_violations).inc();
     }
     return res;
   }
@@ -293,7 +279,7 @@ ExploreResult explore(const RunFn& run, const ExploreOptions& opts) {
     pin.recipients = root.recipients;
     ExploreStats seed;
     seed.states = 1;  // the pinned root edge
-    m.states.inc();
+    obs::counter(obs::m::mc_states_explored).inc();
     std::vector<Frame> frames;
     frames.push_back(std::move(pin));
     slots[k] =
@@ -325,7 +311,8 @@ ExploreResult explore(const RunFn& run, const ExploreOptions& opts) {
     res.stats.complete = res.stats.complete && s.complete;
   }
   if (res.found) res.stats.complete = false;
-  m.max_depth.set(static_cast<double>(res.stats.max_depth));
+  obs::gauge(obs::m::mc_max_depth)
+      .set(static_cast<double>(res.stats.max_depth));
   return res;
 }
 

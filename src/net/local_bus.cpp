@@ -14,15 +14,14 @@ class LocalBus::Endpoint final : public Transport {
     m.from = self_;
     m.to = to;
     bus_.endpoints_[to]->mailbox_.push(std::move(m));
-    obs::global().counter("net.frames_sent").inc();
+    obs::counter(obs::m::net_frames_sent).inc();
   }
 
   std::optional<Message> receive(int timeout_ms) override {
     auto m = mailbox_.pop(timeout_ms);
     if (m) {
-      obs::Registry& reg = obs::global();
-      reg.counter("net.frames_received").inc();
-      reg.histogram("net.queue_depth", obs::count_buckets())
+      obs::counter(obs::m::net_frames_received).inc();
+      obs::histogram(obs::m::net_queue_depth)
           .observe(static_cast<double>(mailbox_.depth()));
     }
     return m;

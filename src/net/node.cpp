@@ -3,24 +3,11 @@
 #include <chrono>
 #include <utility>
 
+#include "lp/simplex.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 
 namespace rbvc::net {
-
-namespace {
-
-/// Cumulative LP-kernel time in ns, read before/after a protocol callback
-/// to attribute its LP share (kProtoStep.b). Process-global, so in-process
-/// multi-node fleets overlap -- treat the per-step delta as approximate
-/// there; rbvc-node processes are single-consumer and exact.
-std::uint64_t lp_total_ns() {
-  const obs::Histogram* h = obs::global().find_histogram("lp.seconds");
-  return h == nullptr ? 0
-                      : static_cast<std::uint64_t>(h->sum() * 1e9);
-}
-
-}  // namespace
 
 ConsensusNode::ConsensusNode(Params params, Transport& t)
     : params_(std::move(params)), t_(t) {
@@ -47,7 +34,6 @@ void ConsensusNode::handle(Message m) {
   if (m.kind == "propose") {
     // Ids below n are nodes, and only a client chooses a node's input.
     if (m.from < params_.prm.n || m.meta.size() != 1 || m.payload.empty()) {
-      ++stats_.dropped;
       live_.dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -55,7 +41,7 @@ void ConsensusNode::handle(Message m) {
     return;
   }
   if (m.kind == "decided" || m.meta.empty()) {
-    ++stats_.dropped;  // not addressed to a node / missing instance tag
+    // Not addressed to a node / missing instance tag.
     live_.dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -66,14 +52,12 @@ void ConsensusNode::handle(Message m) {
 
 void ConsensusNode::start_instance(int instance, const Message& propose) {
   if (instance < gc_floor_) {
-    ++stats_.dropped;
     live_.dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   Instance& inst = instances_[instance];
   inst.client = propose.from;
   if (inst.proc) return;  // duplicate propose
-  ++stats_.proposed;
   live_.proposed.fetch_add(1, std::memory_order_relaxed);
   live_.live_instances.store(static_cast<std::int64_t>(instances_.size()),
                              std::memory_order_relaxed);
@@ -82,23 +66,18 @@ void ConsensusNode::start_instance(int instance, const Message& propose) {
                     static_cast<std::int64_t>(propose.from));
   inst.proc = std::make_unique<consensus::AsyncAveragingProcess>(
       params_.prm, t_.self(), propose.payload);
-  InstanceOutbox out(t_, instance);
-  const std::uint64_t lp0 = lp_total_ns();
-  const std::uint64_t t0 = obs::events::now_ns();
-  inst.proc->init(out);
-  // Replay peers' protocol traffic that outran our propose.
-  std::vector<Message> backlog;
-  backlog.swap(inst.backlog);
-  for (auto& b : backlog) inst.proc->on_message(b, out);
-  obs::events::emit(obs::events::Type::kProtoStep, instance,
-                    static_cast<std::int64_t>(obs::events::now_ns() - t0),
-                    static_cast<std::int64_t>(lp_total_ns() - lp0));
-  report_if_decided(instance);
+  protocol_step(instance, inst, [&inst](InstanceOutbox& out) {
+    inst.proc->init(out);
+    // Replay peers' protocol traffic that outran our propose.
+    std::vector<Message> backlog;
+    backlog.swap(inst.backlog);
+    for (auto& b : backlog) inst.proc->on_message(b, out);
+  });
 }
 
 void ConsensusNode::deliver(int instance, const Message& m) {
   if (instance < gc_floor_) {
-    ++stats_.dropped;  // straggler for an already-retired instance
+    // Straggler for an already-retired instance.
     live_.dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -111,13 +90,26 @@ void ConsensusNode::deliver(int instance, const Message& m) {
     return;
   }
   if (inst.proc->decided()) return;
+  protocol_step(instance, inst, [&inst, &m](InstanceOutbox& out) {
+    inst.proc->on_message(m, out);
+  });
+}
+
+template <class Callback>
+void ConsensusNode::protocol_step(int instance, Instance& inst,
+                                  Callback&& callback) {
   InstanceOutbox out(t_, instance);
-  const std::uint64_t lp0 = lp_total_ns();
+  const std::size_t rejected0 = inst.proc->rejected();
+  // This thread's own LP time: exact even when other in-process nodes
+  // solve concurrently.
+  const std::uint64_t lp0 = lp::thread_solve_ns();
   const std::uint64_t t0 = obs::events::now_ns();
-  inst.proc->on_message(m, out);
+  callback(out);
   obs::events::emit(obs::events::Type::kProtoStep, instance,
                     static_cast<std::int64_t>(obs::events::now_ns() - t0),
-                    static_cast<std::int64_t>(lp_total_ns() - lp0));
+                    static_cast<std::int64_t>(lp::thread_solve_ns() - lp0));
+  live_.rejected.fetch_add(inst.proc->rejected() - rejected0,
+                           std::memory_order_relaxed);
   report_if_decided(instance);
 }
 
@@ -126,14 +118,8 @@ void ConsensusNode::report_if_decided(int instance) {
   if (!inst.proc->decided() || inst.reported) return;
   inst.reported = true;
   const bool ok = !inst.proc->failed();
-  if (ok) {
-    ++stats_.decided;
-    live_.decided.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ++stats_.failed;
-    live_.failed.fetch_add(1, std::memory_order_relaxed);
-  }
-  obs::global().counter("net.instances_decided").inc();
+  (ok ? live_.decided : live_.failed).fetch_add(1, std::memory_order_relaxed);
+  obs::counter(obs::m::net_instances_decided).inc();
   const std::uint64_t now = obs::events::now_ns();
   const std::int64_t decide_ns =
       static_cast<std::int64_t>(now > inst.start_ns ? now - inst.start_ns : 0);
@@ -144,8 +130,9 @@ void ConsensusNode::report_if_decided(int instance) {
   Message reply("decided", {instance, ok ? 1 : 0},
                 ok ? inst.proc->decision() : Vec{});
   t_.send(inst.client, std::move(reply));
+  const Stats s = stats();
   if (params_.crash_after_decided != 0 &&
-      stats_.decided + stats_.failed >= params_.crash_after_decided) {
+      s.decided + s.failed >= params_.crash_after_decided) {
     crashed_ = true;
     live_.crashed.store(true, std::memory_order_relaxed);
   }
@@ -192,8 +179,18 @@ std::string ConsensusNode::status_json() const {
   out += ",\"live_instances\":" +
          i(s.live_instances.load(std::memory_order_relaxed));
   out += ",\"proposed\":" + u(s.proposed.load(std::memory_order_relaxed));
+  out += ",\"rejected\":" + u(s.rejected.load(std::memory_order_relaxed));
   out += "}";
   return out;
+}
+
+ConsensusNode::Stats ConsensusNode::stats() const {
+  Stats s;
+  s.proposed = live_.proposed.load(std::memory_order_relaxed);
+  s.decided = live_.decided.load(std::memory_order_relaxed);
+  s.failed = live_.failed.load(std::memory_order_relaxed);
+  s.dropped = live_.dropped.load(std::memory_order_relaxed);
+  return s;
 }
 
 ClusterClient::ClusterClient(Transport& t, std::size_t n) : t_(t), n_(n) {

@@ -66,16 +66,19 @@ class ConsensusNode {
     std::size_t dropped = 0;  // unroutable / malformed messages
   };
 
-  /// Lock-free mirror of the serve loop's progress, readable from another
-  /// thread (the admin endpoint, net/admin.h) while serve() runs. The serve
-  /// thread updates these with relaxed stores next to the plain Stats; a
-  /// reader sees a near-point-in-time view, never a torn one.
+  /// The serve loop's progress, readable from another thread (the admin
+  /// endpoint, net/admin.h) while serve() runs. Only the serve thread
+  /// writes, with relaxed stores; a reader sees a near-point-in-time view,
+  /// never a torn one.
   struct LiveStatus {
     std::atomic<std::uint64_t> proposed{0};
     std::atomic<std::uint64_t> decided{0};
     std::atomic<std::uint64_t> failed{0};
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> backlogged{0};  // messages buffered pre-propose
+    // Values refused by verify-by-recompute (AsyncAveragingProcess::
+    // rejected(), summed over instances).
+    std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::int64_t> live_instances{0};
     std::atomic<std::int64_t> gc_floor{0};
     std::atomic<std::int64_t> last_decided{-1};   // newest reported instance
@@ -93,7 +96,8 @@ class ConsensusNode {
   /// receive loop wakes every poll_ms to re-check `stop`.
   void serve(const std::atomic<bool>& stop, int poll_ms = 20);
 
-  const Stats& stats() const { return stats_; }
+  /// A snapshot of live()'s counters.
+  Stats stats() const;
   const LiveStatus& live() const { return live_; }
   /// One-line JSON of the live status, alphabetical keys -- the admin
   /// endpoint's "status" reply. Safe from any thread.
@@ -113,12 +117,15 @@ class ConsensusNode {
   void handle(Message m);
   void start_instance(int instance, const Message& propose);
   void deliver(int instance, const Message& m);
+  /// Runs one protocol callback on `inst` and records it: a kProtoStep
+  /// event with its wall and LP time, and its verify rejections.
+  template <class Callback>
+  void protocol_step(int instance, Instance& inst, Callback&& callback);
   void report_if_decided(int instance);
   void gc();
 
   Params params_;
   Transport& t_;
-  Stats stats_;
   LiveStatus live_;
   bool crashed_ = false;
   int gc_floor_ = 0;  // instances below this id were retired by gc()

@@ -267,10 +267,10 @@ void TcpTransport::server_handshake(int fd) {
     if (timed_out) {
       // A client that connected and never spoke: distinct from undecodable
       // bytes, and the signature of a half-open dialer or a port scanner.
-      obs::global().counter("net.handshake_timeouts").inc();
+      obs::counter(obs::m::net_handshake_timeouts).inc();
       obs::events::emit(obs::events::Type::kHandshakeTimeout, -1, fd);
     } else {
-      obs::global().counter("net.wire_errors").inc();
+      obs::counter(obs::m::net_wire_errors).inc();
     }
     close_fd(fd);
     return;
@@ -279,7 +279,7 @@ void TcpTransport::server_handshake(int fd) {
   try {
     peer = decode_hello(hello->body);
   } catch (const wire::WireError&) {
-    obs::global().counter("net.wire_errors").inc();
+    obs::counter(obs::m::net_wire_errors).inc();
     close_fd(fd);
     return;
   }
@@ -336,8 +336,8 @@ bool TcpTransport::register_connection(ProcessId peer, int fd, bool dialed) {
     ++c.generation;
   }
   set_socket_timeout(fd, SO_SNDTIMEO, opts_.send_timeout_ms);
-  obs::global().counter(ever_connected_[peer] && dialed ? "net.reconnects"
-                                                        : "net.connects")
+  obs::counter(ever_connected_[peer] && dialed ? obs::m::net_reconnects
+                                                : obs::m::net_connects)
       .inc();
   obs::events::emit(obs::events::Type::kConnect, -1,
                     static_cast<std::int64_t>(peer), dialed ? 1 : 0);
@@ -366,9 +366,6 @@ void TcpTransport::drop_connection(ProcessId peer, int fd) {
 }
 
 void TcpTransport::reader_loop(int fd, ProcessId peer, std::string buf) {
-  obs::Registry& reg = obs::global();
-  obs::Counter& frames = reg.counter("net.frames_received");
-  obs::Counter& bytes = reg.counter("net.bytes_received");
   std::vector<char> tmp(static_cast<std::size_t>(opts_.io_buffer_bytes));
   // Frames that arrived coalesced with the handshake are already in `buf`,
   // so drain before the first recv.
@@ -394,18 +391,18 @@ void TcpTransport::reader_loop(int fd, ProcessId peer, std::string buf) {
           stamp = static_cast<std::int64_t>(*lc);
           obs::events::lamport_merge(*lc);
         }
-        frames.inc();
+        obs::counter(obs::m::net_frames_received).inc();
         obs::events::emit(obs::events::Type::kFrameRx, instance_of(m), stamp,
                           static_cast<std::int64_t>(decode_ns));
         mailbox_.push(std::move(m));
       }
     } catch (const wire::WireError&) {
-      reg.counter("net.wire_errors").inc();
+      obs::counter(obs::m::net_wire_errors).inc();
       break;  // poisoned stream: drop the connection
     }
     const ssize_t k = ::recv(fd, tmp.data(), tmp.size(), 0);
     if (k <= 0) break;
-    bytes.inc(static_cast<std::uint64_t>(k));
+    obs::counter(obs::m::net_bytes_received).inc(static_cast<std::uint64_t>(k));
     buf.append(tmp.data(), static_cast<std::size_t>(k));
   }
   drop_connection(peer, fd);
@@ -416,11 +413,10 @@ void TcpTransport::reader_loop(int fd, ProcessId peer, std::string buf) {
 
 void TcpTransport::send(ProcessId to, Message m) {
   RBVC_REQUIRE(to < cluster_.size(), "tcp: send to unknown recipient");
-  obs::Registry& reg = obs::global();
   m.from = self_;
   m.to = to;
   if (to == self_) {  // loopback: no socket round-trip
-    reg.counter("net.frames_sent").inc();
+    obs::counter(obs::m::net_frames_sent).inc();
     mailbox_.push(std::move(m));
     return;
   }
@@ -434,8 +430,8 @@ void TcpTransport::send(ProcessId to, Message m) {
   const std::uint64_t encode_ns = obs::events::now_ns() - t0;
   switch (write_frame(*conns_[to], bytes)) {
     case WriteStatus::kOk:
-      reg.counter("net.frames_sent").inc();
-      reg.counter("net.bytes_sent").inc(bytes.size());
+      obs::counter(obs::m::net_frames_sent).inc();
+      obs::counter(obs::m::net_bytes_sent).inc(bytes.size());
       obs::events::emit(obs::events::Type::kFrameTx, inst,
                         static_cast<std::int64_t>(clock),
                         static_cast<std::int64_t>(encode_ns));
@@ -444,7 +440,7 @@ void TcpTransport::send(ProcessId to, Message m) {
       // The peer was live but stopped draining its socket buffer; the
       // SO_SNDTIMEO hangup is worth its own counter because it means a
       // stall, not a crash — then fall through to the ordinary drop.
-      reg.counter("net.send_timeout_hangups").inc();
+      obs::counter(obs::m::net_send_timeout_hangups).inc();
       obs::events::emit(obs::events::Type::kSendTimeoutHangup, inst,
                         static_cast<std::int64_t>(to));
       [[fallthrough]];
@@ -452,7 +448,7 @@ void TcpTransport::send(ProcessId to, Message m) {
     case WriteStatus::kError:
       // Crash-fault behavior: a down peer loses messages; the protocols
       // tolerate up to f such peers, and the dialer keeps retrying.
-      reg.counter("net.send_drops").inc();
+      obs::counter(obs::m::net_send_drops).inc();
       obs::events::emit(obs::events::Type::kSendDrop, inst,
                         static_cast<std::int64_t>(to));
       return;
@@ -485,8 +481,7 @@ TcpTransport::WriteStatus TcpTransport::write_frame(Conn& c,
 std::optional<Message> TcpTransport::receive(int timeout_ms) {
   auto m = mailbox_.pop(timeout_ms);
   if (m) {
-    obs::global()
-        .histogram("net.queue_depth", obs::count_buckets())
+    obs::histogram(obs::m::net_queue_depth)
         .observe(static_cast<double>(mailbox_.depth()));
     obs::events::emit(obs::events::Type::kQueuePop, instance_of(*m),
                       static_cast<std::int64_t>(mailbox_.last_pop_wait_ns()),

@@ -41,6 +41,7 @@ constexpr const char* kTypeNames[] = {
     "episode_end",
     "propose",
     "decision",
+    "verify_reject",
 };
 static_assert(sizeof(kTypeNames) / sizeof(kTypeNames[0]) ==
                   static_cast<std::size_t>(Type::kCount_),

@@ -79,6 +79,8 @@ enum class Type : std::uint16_t {
   kEpisodeEnd,           // harness episode done; instance = episode index, a = failed (1/0)
   kPropose,              // client-side propose;  a = dimension
   kDecision,             // client-side resolve;  a = ok (1/0), b = propose->resolve ns
+  kVerifyReject,         // verify-by-recompute refused a value; a = sender,
+                         //   b = consensus::VerifyReject reason
   kCount_,               // sentinel, keep last
 };
 

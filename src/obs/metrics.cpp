@@ -492,6 +492,38 @@ Registry& global() {
 }
 
 // ---------------------------------------------------------------------------
+// Declared metrics.
+// ---------------------------------------------------------------------------
+
+void* detail::resolve(std::uint16_t row) {
+  const Declared& d = kDeclared[row];
+  Registry& reg = global();
+  void* p = nullptr;
+  switch (d.kind) {
+    case Kind::kCounter:
+      p = &reg.counter(d.name);
+      break;
+    case Kind::kGauge:
+      p = &reg.gauge(d.name);
+      break;
+    case Kind::kCountHistogram:
+      p = &reg.histogram(d.name, count_buckets());
+      break;
+    case Kind::kTimeHistogram:
+      p = &reg.histogram(d.name, time_buckets());
+      break;
+  }
+  // Threads racing here all found the same entry, so they store the same
+  // pointer.
+  held[row].store(p, std::memory_order_release);
+  return p;
+}
+
+Counter& counter(OpenFamily f, const std::string& label) {
+  return global().counter(f.prefix + sanitize_label(label));
+}
+
+// ---------------------------------------------------------------------------
 // ScopedTimer.
 // ---------------------------------------------------------------------------
 
@@ -504,16 +536,22 @@ std::uint64_t now_ns() {
 }
 }  // namespace
 
-ScopedTimer::ScopedTimer(Registry& registry, const std::string& histogram_name)
-    : hist_(registry.histogram(histogram_name, time_buckets())),
-      start_ns_(now_ns()) {}
+ScopedTimer::ScopedTimer(Histogram& hist, std::uint64_t* total_ns)
+    : hist_(hist), total_ns_(total_ns), start_ns_(now_ns()) {}
 
-double ScopedTimer::elapsed_seconds() const {
+std::uint64_t ScopedTimer::elapsed_ns() const {
   const std::uint64_t now = now_ns();
-  return now <= start_ns_ ? 0.0
-                          : static_cast<double>(now - start_ns_) * 1e-9;
+  return now <= start_ns_ ? 0 : now - start_ns_;
 }
 
-ScopedTimer::~ScopedTimer() { hist_.observe(elapsed_seconds()); }
+double ScopedTimer::elapsed_seconds() const {
+  return static_cast<double>(elapsed_ns()) * 1e-9;
+}
+
+ScopedTimer::~ScopedTimer() {
+  const std::uint64_t ns = elapsed_ns();
+  hist_.observe(static_cast<double>(ns) * 1e-9);
+  if (total_ns_ != nullptr) *total_ns_ += ns;
+}
 
 }  // namespace rbvc::obs

@@ -3,32 +3,41 @@
 // engines, protocols, geometry/LP kernels, and workload runners.
 //
 // Design points (see docs/OBSERVABILITY.md for the metric inventory):
-//   * Recording is always on and cheap (a map lookup at handle creation,
-//     an integer add per event); only *derived* metrics that cost real work
-//     (e.g. the runner's achieved-delta gauge, which solves an LP) are
-//     gated on Registry::enabled(), which defaults from the RBVC_METRICS
-//     env knob.
+//   * One declared vocabulary. Every metric src/ records is a row of the
+//     table in obs/metric_table.h, and src/ records only through the
+//     handles that table yields (obs::m::lp_solves, ...): counter(h),
+//     gauge(h) and histogram(h) resolve a handle in global() at its first
+//     use -- which is when the metric enters the registry, never earlier
+//     -- and hold it from then on, so a recording site costs one atomic
+//     load plus the record, and no name is looked up on a hot path.
+//     The by-name API stays for code that needs names: readers
+//     (find_*), parse(), detached registries, and the open
+//     sim.{async,sync}.sent.<kind> families.
+//   * Recording is always on and cheap; only *derived* metrics that cost
+//     real work (e.g. the runner's achieved-delta gauges, which solve LPs)
+//     are gated on Registry::enabled(), which defaults from the
+//     RBVC_METRICS env knob.
 //   * dump_json() is a stable serialization -- fixed key order (sorted),
 //     fixed number formatting (%.17g doubles, decimal integers) -- and
 //     Registry::parse() inverts it, so `parse(dump_json()).dump_json()`
 //     is byte-for-byte the input. Repro files (schema v3) and the bench
 //     --json emitters rely on this, exactly like Trace::dump/parse.
 //   * reset_values() zeroes every metric but never erases entries, so
-//     cached `Counter&`/`Histogram&` handles (including function-local
-//     statics in hot paths) stay valid across per-episode snapshots.
+//     held handles stay valid across per-episode snapshots.
 //   * Sinks are env-gated: when RBVC_METRICS_OUT=<path> is set, the global
 //     registry is written there at process exit (and on demand via
 //     export_global()); RBVC_METRICS=1 enables the gated derived metrics.
 //
-// Thread-safety: fully concurrent recording. Handle creation and
-// serialization take a registry mutex; recording through a handle is
-// lock-free -- counters add into per-thread shards (aggregated on
-// snapshot), gauges are atomic stores, histogram buckets are atomic adds.
-// The parallel episode executor (exec/parallel_executor.h) runs many
-// engine instances against the one global registry, so RBVC_METRICS totals
-// stay exact under RBVC_JOBS > 1. Snapshots taken while a pool is running
-// are per-metric consistent, not cross-metric consistent; the property
-// harness snapshots only from its single-threaded minimize path.
+// Thread-safety: fully concurrent recording. Minting and serialization
+// take a registry mutex; recording through a handle is lock-free --
+// counters add into per-thread shards (aggregated on snapshot), gauges are
+// atomic stores, histogram buckets are atomic adds. Threads that resolve
+// one handle at once all get the same metric. The parallel episode
+// executor (exec/parallel_executor.h) runs many engine instances against
+// the one global registry, so RBVC_METRICS totals stay exact under
+// RBVC_JOBS > 1. Snapshots taken while a pool is running are per-metric
+// consistent, not cross-metric consistent; the property harness snapshots
+// only from its single-threaded minimize path.
 #pragma once
 
 #include <array>
@@ -37,8 +46,10 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "obs/metric_table.h"
 #include "rbvc/common.h"
 
 namespace rbvc::obs {
@@ -144,9 +155,12 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
   Registry& operator=(Registry&&) = delete;
 
-  /// Find-or-create. References stay valid for the registry's lifetime
-  /// (reset_values() zeroes but never erases). A histogram's bounds are
-  /// fixed by its first creation; later calls return the existing one.
+  /// Find-or-create by name. References stay valid for the registry's
+  /// lifetime (reset_values() zeroes but never erases). A histogram's
+  /// bounds are fixed by its first creation; later calls return the
+  /// existing one. src/ records into global() through declared handles
+  /// (below) instead; these serve tests, detached registries and the
+  /// open families.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name,
@@ -208,12 +222,138 @@ std::string sanitize_label(const std::string& raw);
 /// non-empty). Returns the path written, or "" when no path was configured.
 std::string export_global(const std::string& path_override = "");
 
+// ---------------------------------------------------------------------------
+// Declared metrics (obs/metric_table.h): the one way src/ records.
+// ---------------------------------------------------------------------------
+
+/// A declared metric's kind; a histogram's kind fixes its bucket set.
+enum class Kind : std::uint8_t {
+  kCounter,
+  kGauge,
+  kCountHistogram,  // count_buckets()
+  kTimeHistogram,   // time_buckets(), seconds
+};
+
+struct Declared {
+  const char* name;
+  Kind kind;
+};
+
+/// The table's rows, in table order.
+inline constexpr Declared kDeclared[] = {
+#define RBVC_OBS_ROW(handle, name, kind) {name, Kind::k##kind},
+    RBVC_OBS_METRIC_TABLE(RBVC_OBS_ROW)
+#undef RBVC_OBS_ROW
+};
+
+/// The declared open-family prefixes, in table order.
+inline constexpr const char* kOpenFamilyPrefixes[] = {
+#define RBVC_OBS_OPEN(handle, prefix) prefix,
+    RBVC_OBS_OPEN_FAMILIES(RBVC_OBS_OPEN)
+#undef RBVC_OBS_OPEN
+};
+
+/// One declared metric, recorded through M (Counter, Gauge or Histogram).
+template <class M>
+struct Handle {
+  std::uint16_t row;
+};
+
+/// A closed label family of counters: `size` consecutive rows from
+/// `first`. Callers pass a label as an index -- their own enum's value --
+/// so obs needs no header of the layer that owns the enum.
+struct Family {
+  Handle<Counter> first;
+  std::uint16_t size;
+};
+
+/// An open family: only the prefix is declared.
+struct OpenFamily {
+  const char* prefix;
+};
+
+namespace detail {
+
+enum Row : std::uint16_t {
+#define RBVC_OBS_ROW(handle, name, kind) handle,
+  RBVC_OBS_METRIC_TABLE(RBVC_OBS_ROW)
+#undef RBVC_OBS_ROW
+  kRows
+};
+
+template <Kind K>
+using Recorder = std::conditional_t<
+    K == Kind::kCounter, Counter,
+    std::conditional_t<K == Kind::kGauge, Gauge, Histogram>>;
+
+/// One slot per row, null until the row's first use resolves it.
+inline std::atomic<void*> held[kRows];
+
+/// Mints row `row` in global() (find-or-create) and holds it.
+void* resolve(std::uint16_t row);
+
+template <class M>
+M& get(Handle<M> h) {
+  void* p = held[h.row].load(std::memory_order_acquire);
+  return *static_cast<M*>(p != nullptr ? p : resolve(h.row));
+}
+
+}  // namespace detail
+
+/// The handles, one per row, named as in the table.
+namespace m {
+#define RBVC_OBS_ROW(handle, name, kind)                     \
+  inline constexpr Handle<detail::Recorder<Kind::k##kind>> handle{ \
+      detail::handle};
+RBVC_OBS_METRIC_TABLE(RBVC_OBS_ROW)
+#undef RBVC_OBS_ROW
+#define RBVC_OBS_OPEN(handle, prefix) \
+  inline constexpr OpenFamily handle{prefix};
+RBVC_OBS_OPEN_FAMILIES(RBVC_OBS_OPEN)
+#undef RBVC_OBS_OPEN
+
+/// consensus.verify_rejects.<reason>, by consensus::VerifyReject.
+inline constexpr Family verify_rejects{
+    consensus_verify_rejects_bad_view_id, 4};
+/// geom.delta_star.method.<m>, by DeltaStarResult::Method.
+inline constexpr Family delta_star_method{
+    geom_delta_star_method_gamma_nonempty, 3};
+/// lp.status.<s>, by lp::Status.
+inline constexpr Family lp_status{lp_status_optimal, 4};
+}  // namespace m
+
+/// The global-registry metric behind a handle. It enters the registry at
+/// the handle's first use and is held from then on.
+inline Counter& counter(Handle<Counter> h) { return detail::get(h); }
+inline Gauge& gauge(Handle<Gauge> h) { return detail::get(h); }
+inline Histogram& histogram(Handle<Histogram> h) { return detail::get(h); }
+
+/// One label of a closed family; only that label's row is minted.
+inline Counter& counter(Family f, std::size_t label) {
+  RBVC_REQUIRE(label < f.size, "metrics: label outside its family");
+  return detail::get(
+      Handle<Counter>{static_cast<std::uint16_t>(f.first.row + label)});
+}
+
+/// One label of an open family, by name: prefix + sanitize_label(label).
+/// A name lookup, so callers tally per label and publish once per run.
+Counter& counter(OpenFamily f, const std::string& label);
+
+/// A declared metric's name, for registries other than global(): the
+/// fleet's detached per-shard registry and its reader.
+template <class M>
+constexpr const char* name(Handle<M> h) {
+  return kDeclared[h.row].name;
+}
+
 /// RAII wall-clock timer: observes its elapsed seconds into a time-bucket
-/// histogram on destruction. elapsed_seconds() is monotonically
-/// non-decreasing and non-negative (steady clock).
+/// histogram on destruction, and adds the elapsed nanoseconds to
+/// `*total_ns` when one is given (the LP's per-thread total does).
+/// elapsed_seconds() is monotonically non-decreasing and non-negative
+/// (steady clock).
 class ScopedTimer {
  public:
-  ScopedTimer(Registry& registry, const std::string& histogram_name);
+  explicit ScopedTimer(Histogram& hist, std::uint64_t* total_ns = nullptr);
   ~ScopedTimer();
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
@@ -221,7 +361,9 @@ class ScopedTimer {
   double elapsed_seconds() const;
 
  private:
+  std::uint64_t elapsed_ns() const;
   Histogram& hist_;
+  std::uint64_t* total_ns_;
   std::uint64_t start_ns_;
 };
 

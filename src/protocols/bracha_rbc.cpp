@@ -21,7 +21,7 @@ void BrachaRbc::emit(Phase phase, ProcessId source, int instance,
     out.send(p, std::move(copy));
     ++sent_;
   }
-  obs::global().counter("protocols.rbc.emits").inc();
+  obs::counter(obs::m::protocols_rbc_emits).inc();
 }
 
 void BrachaRbc::broadcast(int instance, const Vec& value, Outbox& out,
@@ -65,7 +65,7 @@ std::vector<BrachaRbc::Delivery> BrachaRbc::on_message(const Message& m,
       const std::size_t votes = ++s.echo_votes[content];
       if (votes >= echo_quorum && !s.sent_ready) {
         s.sent_ready = true;
-        obs::global().counter("protocols.rbc.echo_quorums").inc();
+        obs::counter(obs::m::protocols_rbc_echo_quorums).inc();
         emit(kReady, source, instance, content, out);
       }
       break;
@@ -75,12 +75,12 @@ std::vector<BrachaRbc::Delivery> BrachaRbc::on_message(const Message& m,
       const std::size_t votes = ++s.ready_votes[content];
       if (votes >= ready_amplify && !s.sent_ready) {
         s.sent_ready = true;
-        obs::global().counter("protocols.rbc.ready_amplifications").inc();
+        obs::counter(obs::m::protocols_rbc_ready_amplifications).inc();
         emit(kReady, source, instance, content, out);
       }
       if (votes >= ready_deliver && !s.delivered) {
         s.delivered = true;
-        obs::global().counter("protocols.rbc.deliveries").inc();
+        obs::counter(obs::m::protocols_rbc_deliveries).inc();
         deliveries.push_back({source, instance, content.second, content.first});
       }
       break;

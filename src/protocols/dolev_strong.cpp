@@ -57,7 +57,7 @@ std::uint64_t chain_digest(ProcessId instance, const Vec& value,
 
 bool chain_valid(const sim::SignatureAuthority& authority, ProcessId instance,
                  const Vec& value, const SigChain& chain) {
-  obs::global().counter("protocols.ds.chain_validations").inc();
+  obs::counter(obs::m::protocols_ds_chain_validations).inc();
   if (chain.empty()) return false;
   if (chain.front().first != instance) return false;
   for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -140,7 +140,7 @@ void DolevStrongProcess::round(std::size_t round_no,
       continue;
     }
     if (!extracted_[instance].insert(m.payload).second) continue;  // known
-    obs::global().counter("protocols.ds.extractions").inc();
+    obs::counter(obs::m::protocols_ds_extractions).inc();
     // Newly extracted: relay with our signature appended while relaying is
     // still useful (arrivals after round f+1 are ignored anyway).
     if (round_no <= f_ && should_relay(instance, m.payload)) {
@@ -153,7 +153,7 @@ void DolevStrongProcess::round(std::size_t round_no,
         extended.emplace_back(
             self_, signer_.sign(
                        ds_wire::chain_digest(instance, m.payload, chain)));
-        obs::global().counter("protocols.ds.relays").inc();
+        obs::counter(obs::m::protocols_ds_relays).inc();
         const Message relay = ds_wire::encode(instance, m.payload, extended);
         for (ProcessId r = 0; r < n_; ++r) {
           if (r == self_) continue;
@@ -177,9 +177,8 @@ void DolevStrongProcess::round(std::size_t round_no,
     }
     decision_ = decide_(resolved_);
     decided_ = true;
-    obs::Registry& reg = obs::global();
-    reg.counter("protocols.ds.decides").inc();
-    reg.histogram("protocols.ds.decide_round", obs::count_buckets())
+    obs::counter(obs::m::protocols_ds_decides).inc();
+    obs::histogram(obs::m::protocols_ds_decide_round)
         .observe(static_cast<double>(round_no));
   }
 }

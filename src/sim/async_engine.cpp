@@ -92,9 +92,7 @@ AsyncRunStats AsyncEngine::run(const std::vector<ProcessId>& wait_for,
   AsyncRunStats stats;
   PendingPool pending;
   std::map<std::string, std::uint64_t> kind_counts;
-  obs::Registry& reg = obs::global();
-  obs::Histogram& queue_depth =
-      reg.histogram("sim.async.queue_depth", obs::count_buckets());
+  obs::Histogram& queue_depth = obs::histogram(obs::m::sim_async_queue_depth);
   // Every episode thread shares queue_depth, so depths are tallied here and
   // published once per run. Depths are integers: the batched sum is exact
   // and equals what per-pick observe() calls would accumulate.
@@ -132,13 +130,13 @@ AsyncRunStats AsyncEngine::run(const std::vector<ProcessId>& wait_for,
   stats.all_decided = all_done();
 
   queue_depth.add(depth_counts, static_cast<double>(depth_sum));
-  reg.counter("sim.async.runs").inc();
-  reg.counter("sim.async.messages_sent").inc(stats.sends);
-  reg.counter("sim.async.messages_delivered").inc(stats.deliveries);
-  reg.counter("sim.async.messages_undelivered").inc(pending.size());
-  reg.counter("sim.async.scheduler_picks").inc(stats.deliveries);
+  obs::counter(obs::m::sim_async_runs).inc();
+  obs::counter(obs::m::sim_async_messages_sent).inc(stats.sends);
+  obs::counter(obs::m::sim_async_messages_delivered).inc(stats.deliveries);
+  obs::counter(obs::m::sim_async_messages_undelivered).inc(pending.size());
+  obs::counter(obs::m::sim_async_scheduler_picks).inc(stats.deliveries);
   for (const auto& [kind, count] : kind_counts) {
-    reg.counter("sim.async.sent." + obs::sanitize_label(kind)).inc(count);
+    obs::counter(obs::m::sim_async_sent, kind).inc(count);
   }
   return stats;
 }

@@ -58,9 +58,8 @@ SyncRunStats SyncEngine::run(std::size_t max_rounds) {
   SyncRunStats stats;
   std::vector<std::vector<Message>> inboxes(n);
   std::map<std::string, std::uint64_t> kind_counts;
-  obs::Registry& reg = obs::global();
   obs::Histogram& round_messages =
-      reg.histogram("sim.sync.round_messages", obs::count_buckets());
+      obs::histogram(obs::m::sim_sync_round_messages);
 
   for (std::size_t r = 0; r < max_rounds; ++r) {
     bool all = true;
@@ -94,11 +93,11 @@ SyncRunStats SyncEngine::run(std::size_t max_rounds) {
     stats.all_decided = all;
   }
 
-  reg.counter("sim.sync.runs").inc();
-  reg.counter("sim.sync.rounds").inc(stats.rounds);
-  reg.counter("sim.sync.messages_sent").inc(stats.messages);
+  obs::counter(obs::m::sim_sync_runs).inc();
+  obs::counter(obs::m::sim_sync_rounds).inc(stats.rounds);
+  obs::counter(obs::m::sim_sync_messages_sent).inc(stats.messages);
   for (const auto& [kind, count] : kind_counts) {
-    reg.counter("sim.sync.sent." + obs::sanitize_label(kind)).inc(count);
+    obs::counter(obs::m::sim_sync_sent, kind).inc(count);
   }
   return stats;
 }

@@ -43,11 +43,12 @@ struct ChoiceStack {
 // Thm 9/12 yardstick. Both need LP solves, so never on the default path;
 // a degenerate episode (f = 0, too few inputs, solver failure) just skips
 // the gauges rather than failing the run.
-void record_delta_gauges(const char* prefix, const std::vector<Vec>& decisions,
+void record_delta_gauges(obs::Handle<obs::Gauge> achieved_gauge,
+                         obs::Handle<obs::Gauge> bound_gauge,
+                         const std::vector<Vec>& decisions,
                          const std::vector<Vec>& honest_inputs,
                          std::size_t f) {
-  obs::Registry& reg = obs::global();
-  if (!reg.enabled() || decisions.empty()) return;
+  if (!obs::global().enabled() || decisions.empty()) return;
   if (f < 1 || honest_inputs.size() <= f) return;
   try {
     double achieved = 0.0;
@@ -56,8 +57,8 @@ void record_delta_gauges(const char* prefix, const std::vector<Vec>& decisions,
                           gamma_excess(dec, honest_inputs, f, /*p=*/2.0));
     }
     const double bound = delta_star_2(honest_inputs, f).value;
-    reg.gauge(std::string(prefix) + ".achieved_delta").set(achieved);
-    reg.gauge(std::string(prefix) + ".delta_star_bound").set(bound);
+    obs::gauge(achieved_gauge).set(achieved);
+    obs::gauge(bound_gauge).set(bound);
   } catch (const std::exception&) {
     // Diagnostics only: a solver failure here must not fail the episode.
   }
@@ -84,9 +85,8 @@ protocols::DecisionFn make_decision(SyncRule rule, std::size_t f,
 }
 
 SyncOutcome run_sync_experiment(const SyncExperiment& e) {
-  obs::Registry& reg = obs::global();
-  reg.counter("workload.sync.episodes").inc();
-  obs::ScopedTimer timer(reg, "workload.sync.episode_seconds");
+  obs::counter(obs::m::workload_sync_episodes).inc();
+  obs::ScopedTimer timer(obs::histogram(obs::m::workload_sync_episode_seconds));
   const protocols::DecisionFn decision =
       e.decision ? e.decision : make_decision(e.rule, e.f, e.k);
   RBVC_REQUIRE(e.byzantine_ids.size() <= e.f,
@@ -158,16 +158,18 @@ SyncOutcome run_sync_experiment(const SyncExperiment& e) {
               .decision());
     }
   }
-  reg.histogram("workload.sync.decide_rounds", obs::count_buckets())
+  obs::histogram(obs::m::workload_sync_decide_rounds)
       .observe(static_cast<double>(out.stats.rounds));
-  record_delta_gauges("workload.sync", out.decisions, out.honest_inputs, e.f);
+  record_delta_gauges(obs::m::workload_sync_achieved_delta,
+                      obs::m::workload_sync_delta_star_bound, out.decisions,
+                      out.honest_inputs, e.f);
   return out;
 }
 
 AsyncOutcome run_async_experiment(const AsyncExperiment& e) {
-  obs::Registry& reg = obs::global();
-  reg.counter("workload.async.episodes").inc();
-  obs::ScopedTimer timer(reg, "workload.async.episode_seconds");
+  obs::counter(obs::m::workload_async_episodes).inc();
+  obs::ScopedTimer timer(
+      obs::histogram(obs::m::workload_async_episode_seconds));
   RBVC_REQUIRE(e.honest_inputs.size() + e.byzantine_ids.size() == e.prm.n,
                "run_async_experiment: inputs + faulty ids must cover n");
   RBVC_REQUIRE(e.byzantine_ids.size() <= e.prm.f,
@@ -231,11 +233,12 @@ AsyncOutcome run_async_experiment(const AsyncExperiment& e) {
     out.decisions.push_back(p.decision());
     out.round0_deltas.push_back(p.round0_delta());
   }
-  reg.histogram("workload.async.decide_deliveries", obs::count_buckets())
+  obs::histogram(obs::m::workload_async_decide_deliveries)
       .observe(static_cast<double>(out.stats.deliveries));
   if (!out.failed) {
-    record_delta_gauges("workload.async", out.decisions, out.honest_inputs,
-                        e.prm.f);
+    record_delta_gauges(obs::m::workload_async_achieved_delta,
+                        obs::m::workload_async_delta_star_bound,
+                        out.decisions, out.honest_inputs, e.prm.f);
   }
   return out;
 }
@@ -279,9 +282,8 @@ class RbcPeerProcess final : public sim::AsyncProcess {
 }  // namespace
 
 RbcOutcome run_rbc_experiment(const RbcExperiment& e) {
-  obs::Registry& reg = obs::global();
-  reg.counter("workload.rbc.episodes").inc();
-  obs::ScopedTimer timer(reg, "workload.rbc.episode_seconds");
+  obs::counter(obs::m::workload_rbc_episodes).inc();
+  obs::ScopedTimer timer(obs::histogram(obs::m::workload_rbc_episode_seconds));
   RBVC_REQUIRE(e.honest_inputs.size() + e.byzantine_ids.size() == e.n,
                "run_rbc_experiment: inputs + faulty ids must cover n");
   RBVC_REQUIRE(e.byzantine_ids.size() <= e.f,
@@ -378,9 +380,8 @@ RbcOutcome run_rbc_experiment(const RbcExperiment& e) {
 }
 
 BroadcastOutcome run_broadcast_experiment(const BroadcastExperiment& e) {
-  obs::Registry& reg = obs::global();
-  reg.counter("workload.ds.episodes").inc();
-  obs::ScopedTimer timer(reg, "workload.ds.episode_seconds");
+  obs::counter(obs::m::workload_ds_episodes).inc();
+  obs::ScopedTimer timer(obs::histogram(obs::m::workload_ds_episode_seconds));
   RBVC_REQUIRE(e.honest_inputs.size() + e.byzantine_ids.size() == e.n,
                "run_broadcast_experiment: inputs + faulty ids must cover n");
   RBVC_REQUIRE(e.byzantine_ids.size() <= e.f,

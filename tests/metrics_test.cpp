@@ -2,14 +2,24 @@
 // registry find-or-create and reset_values handle stability, the stable
 // JSON dump/parse round-trip (byte-for-byte, like Trace::dump/parse),
 // parse rejection of malformed documents, label sanitization, ScopedTimer
-// monotonicity, and lock-free recording under multi-threaded contention
-// (ctest labels: obs, tsan).
+// monotonicity, lock-free recording under multi-threaded contention, and
+// the declared metric table: its inventory matches docs/OBSERVABILITY.md,
+// its metrics are minted at first use, and its handles are the named
+// metrics (ctest labels: obs, tsan).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "consensus/async_averaging.h"
+#include "hull/delta_star.h"
+#include "lp/simplex.h"
 #include "obs/metrics.h"
 
 namespace rbvc::obs {
@@ -195,8 +205,9 @@ TEST(SanitizeLabelTest, MapsHostileKindsIntoTheNameCharset) {
 
 TEST(ScopedTimerTest, ElapsedIsMonotoneAndObservedOnDestruction) {
   Registry reg;
+  std::uint64_t total_ns = 0;
   {
-    ScopedTimer t(reg, "k.seconds");
+    ScopedTimer t(reg.histogram("k.seconds", time_buckets()), &total_ns);
     const double a = t.elapsed_seconds();
     EXPECT_GE(a, 0.0);
     // Burn a little time; steady clock never goes backwards.
@@ -210,6 +221,8 @@ TEST(ScopedTimerTest, ElapsedIsMonotoneAndObservedOnDestruction) {
   EXPECT_EQ(h->bounds(), time_buckets());
   EXPECT_EQ(h->total(), 1u);
   EXPECT_GE(h->sum(), 0.0);
+  // The accumulator gets the observed time, in ns.
+  EXPECT_EQ(h->sum(), static_cast<double>(total_ns) * 1e-9);
 }
 
 TEST(GlobalRegistryTest, IsASingletonWithStableHandles) {
@@ -315,6 +328,223 @@ TEST(ConcurrencyTest, HandleCreationRacesWithRecording) {
   }
   EXPECT_EQ(total, 4u * 500u);
   EXPECT_EQ(reg.histogram("race.h", count_buckets()).total(), 4u * 500u);
+
+  // Declared handles: many threads released at once all resolve one
+  // handle and one family label for the first time, and get one metric.
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<const Counter*> seen(kThreads, nullptr);
+  std::vector<const Counter*> seen_label(kThreads, nullptr);
+  threads.clear();
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      Counter& c = counter(m::fleet_heartbeats);
+      Counter& l = counter(m::lp_status, 2);
+      c.inc();
+      l.inc();
+      seen[t] = &c;
+      seen_label[t] = &l;
+    });
+  }
+  auto value_of = [](const std::string& metric) -> std::uint64_t {
+    const Counter* c = global().find_counter(metric);
+    return c == nullptr ? 0 : c->value();
+  };
+  const std::uint64_t before = value_of(name(m::fleet_heartbeats));
+  const std::uint64_t before_label = value_of("lp.status.unbounded");
+  go.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  const Counter* named = global().find_counter(name(m::fleet_heartbeats));
+  ASSERT_NE(named, nullptr);
+  const Counter* named_label = global().find_counter("lp.status.unbounded");
+  ASSERT_NE(named_label, nullptr);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], named);
+    EXPECT_EQ(seen_label[t], named_label);
+  }
+  EXPECT_EQ(named->value() - before, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(named_label->value() - before_label,
+            static_cast<std::uint64_t>(kThreads));
+}
+
+// -- The declared metric table -----------------------------------------------
+
+std::set<std::string> table_names() {
+  std::set<std::string> out;
+  for (const Declared& d : kDeclared) out.insert(d.name);
+  return out;
+}
+
+// The names of docs/OBSERVABILITY.md's inventory table: every backticked
+// token of a row's first cell. A token `prefix.<label>` opens a family
+// whose labels are the dot-free tokens after it; with none listed, the
+// family is open (its labels are runtime strings).
+struct DocInventory {
+  std::set<std::string> names;
+  std::set<std::string> open_prefixes;
+};
+
+DocInventory read_doc_inventory() {
+  std::ifstream in(RBVC_OBSERVABILITY_DOC);
+  EXPECT_TRUE(in.good()) << "cannot open " << RBVC_OBSERVABILITY_DOC;
+  DocInventory inv;
+  std::string line;
+  bool in_section = false, in_table = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("## Metric inventory", 0) == 0) {
+      in_section = true;
+      continue;
+    }
+    if (!in_section) continue;
+    if (line.rfind("|", 0) != 0) {
+      if (in_table) break;  // the first table ends the inventory
+      continue;
+    }
+    in_table = true;
+    const std::size_t end = line.find('|', 1);
+    const std::string cell = line.substr(1, end - 1);
+    std::vector<std::string> tokens;
+    for (std::size_t a = cell.find('`'); a != std::string::npos;) {
+      const std::size_t b = cell.find('`', a + 1);
+      if (b == std::string::npos) break;
+      tokens.push_back(cell.substr(a + 1, b - a - 1));
+      a = cell.find('`', b + 1);
+    }
+    std::string family;
+    bool labelled = false;
+    auto close_family = [&] {
+      if (!family.empty() && !labelled) inv.open_prefixes.insert(family);
+      family.clear();
+    };
+    for (const std::string& t : tokens) {
+      const std::size_t lt = t.find('<');
+      if (lt != std::string::npos) {
+        close_family();
+        family = t.substr(0, lt);
+        labelled = false;
+      } else if (t.find('.') == std::string::npos) {
+        if (!family.empty()) {
+          inv.names.insert(family + t);
+          labelled = true;
+        }
+      } else {
+        close_family();
+        inv.names.insert(t);
+      }
+    }
+    close_family();
+  }
+  return inv;
+}
+
+TEST(MetricTableTest, InventoryInTheDocsNamesEveryDeclaredMetric) {
+  const DocInventory doc = read_doc_inventory();
+  const std::set<std::string> table = table_names();
+  for (const std::string& n : table) {
+    EXPECT_TRUE(doc.names.count(n)) << n << " is declared but not documented";
+  }
+  for (const std::string& n : doc.names) {
+    EXPECT_TRUE(table.count(n)) << n << " is documented but not declared";
+  }
+  const std::set<std::string> open(std::begin(kOpenFamilyPrefixes),
+                                   std::end(kOpenFamilyPrefixes));
+  EXPECT_EQ(doc.open_prefixes, open);
+}
+
+TEST(MetricTableTest, RowsAreUniqueLegalNames) {
+  EXPECT_EQ(table_names().size(), std::size(kDeclared));
+  Registry reg;
+  for (const Declared& d : kDeclared) {
+    EXPECT_NO_THROW(reg.counter(d.name)) << d.name;
+  }
+}
+
+TEST(MetricTableTest, DeclaredMetricsEnterTheRegistryAtFirstUse) {
+  const std::string before = global().dump_json();
+  EXPECT_EQ(before.find(name(m::workload_rbc_episodes)), std::string::npos);
+  EXPECT_EQ(before.find("consensus.verify_rejects."), std::string::npos);
+
+  counter(m::workload_rbc_episodes).inc();
+  // One family label mints that label only.
+  counter(m::verify_rejects,
+          static_cast<std::size_t>(consensus::VerifyReject::kValueMismatch))
+      .inc();
+  const std::string after = global().dump_json();
+  EXPECT_NE(after.find(name(m::workload_rbc_episodes)), std::string::npos);
+  EXPECT_NE(after.find("consensus.verify_rejects.value_mismatch"),
+            std::string::npos);
+  EXPECT_EQ(after.find("consensus.verify_rejects.bad_view_id"),
+            std::string::npos);
+  EXPECT_EQ(after.find("consensus.verify_rejects.malformed_view"),
+            std::string::npos);
+  EXPECT_EQ(after.find("consensus.verify_rejects.rule_threw"),
+            std::string::npos);
+  EXPECT_THROW(counter(m::verify_rejects, 4), invalid_argument);
+}
+
+TEST(MetricTableTest, HandlesAreTheNamedMetrics) {
+  Registry& reg = global();
+  for (std::uint16_t row = 0; row < std::size(kDeclared); ++row) {
+    // Resolve first: that is what mints the metric.
+    const Declared& d = kDeclared[row];
+    switch (d.kind) {
+      case Kind::kCounter: {
+        const Counter* c = &counter(Handle<Counter>{row});
+        EXPECT_EQ(c, reg.find_counter(d.name)) << d.name;
+        break;
+      }
+      case Kind::kGauge: {
+        const Gauge* g = &gauge(Handle<Gauge>{row});
+        EXPECT_EQ(g, reg.find_gauge(d.name)) << d.name;
+        break;
+      }
+      case Kind::kCountHistogram:
+      case Kind::kTimeHistogram: {
+        const Histogram& h = histogram(Handle<Histogram>{row});
+        EXPECT_EQ(&h, reg.find_histogram(d.name)) << d.name;
+        EXPECT_EQ(h.bounds(), d.kind == Kind::kTimeHistogram
+                                  ? time_buckets()
+                                  : count_buckets())
+            << d.name;
+        break;
+      }
+    }
+  }
+  // Family labels follow their enums.
+  for (lp::Status s : {lp::Status::kOptimal, lp::Status::kInfeasible,
+                       lp::Status::kUnbounded, lp::Status::kIterLimit}) {
+    const Counter* c = &counter(m::lp_status, static_cast<std::size_t>(s));
+    EXPECT_EQ(c,
+              reg.find_counter(std::string("lp.status.") + lp::to_string(s)));
+  }
+  using Method = DeltaStarResult::Method;
+  const std::pair<Method, const char*> methods[] = {
+      {Method::kGammaNonempty, "gamma_nonempty"},
+      {Method::kSimplexInradius, "simplex_inradius"},
+      {Method::kNumerical, "numerical"}};
+  for (const auto& [method, label] : methods) {
+    const Counter* c =
+        &counter(m::delta_star_method, static_cast<std::size_t>(method));
+    EXPECT_EQ(c, reg.find_counter(std::string("geom.delta_star.method.") +
+                                  label));
+  }
+  using consensus::VerifyReject;
+  const std::pair<VerifyReject, const char*> reasons[] = {
+      {VerifyReject::kBadViewId, "bad_view_id"},
+      {VerifyReject::kMalformedView, "malformed_view"},
+      {VerifyReject::kRuleThrew, "rule_threw"},
+      {VerifyReject::kValueMismatch, "value_mismatch"}};
+  for (const auto& [why, label] : reasons) {
+    const Counter* c =
+        &counter(m::verify_rejects, static_cast<std::size_t>(why));
+    EXPECT_EQ(c, reg.find_counter(std::string("consensus.verify_rejects.") +
+                                  label));
+  }
+  // Open families publish by name, sanitized.
+  const Counter* sent = &counter(m::sim_async_sent, "rbc echo");
+  EXPECT_EQ(sent, reg.find_counter("sim.async.sent.rbc_echo"));
 }
 
 }  // namespace

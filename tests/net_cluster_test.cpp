@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "net/sync_driver.h"
 #include "net/tcp_transport.h"
 #include "obs/events.h"
+#include "protocols/bracha_rbc.h"
 #include "protocols/dolev_strong.h"
 #include "sim/sync_engine.h"
 
@@ -110,6 +112,58 @@ TEST(ClusterTest, ProposeFromANodeIdIsDropped) {
   EXPECT_EQ(node.stats().proposed, 1u);
   EXPECT_EQ(node.stats().dropped, 1u);
   bus.close();
+}
+
+// A value whose view names an id outside the cluster is refused by
+// verify-by-recompute, and the refusal is visible live: in the admin
+// status and as a verify_reject event naming the sender.
+TEST(ClusterTest, BadViewIdIsRejectedVisibly) {
+  constexpr std::size_t kN = 4;
+  constexpr ProcessId kDriven = 3;  // this test speaks for node 3
+  LocalBus bus(kN + 1);             // nodes 0..3, client 4
+  NodeFleet fleet;
+  for (ProcessId id = 0; id < kDriven; ++id) {
+    fleet.add(node_params(kN, 1), bus.endpoint(id));
+  }
+  for (ProcessId id = 0; id < kDriven; ++id) {
+    bus.endpoint(kN).send(id, rbvc::sim::Message("propose", {0},
+                                                 Vec{1.0 * id, 0.0}));
+  }
+  rbvc::protocols::BrachaRbc rbc(kN, 1, kDriven);
+  rbvc::net::InstanceOutbox out(bus.endpoint(kDriven), /*instance=*/0);
+  rbc.broadcast(/*round=*/1, Vec{0.5, 0.5}, out, {0, 1, 99});
+
+  // The honest nodes echo, ready and deliver the broadcast among
+  // themselves, then refuse it.
+  auto rejected = [&] {
+    std::uint64_t r = 0;
+    for (const auto& n : fleet.nodes) r += n->live().rejected.load();
+    return r;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rejected() < kDriven && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  fleet.shutdown();
+  bus.close();
+  EXPECT_EQ(rejected(), kDriven);  // one refusal per honest node
+
+  const std::string status = fleet.nodes[0]->status_json();
+  const std::size_t at = status.find("\"rejected\":");
+  ASSERT_NE(at, std::string::npos) << status;
+  EXPECT_GE(std::stoull(status.substr(at + 11)), 1u) << status;
+  EXPECT_EQ(status.rfind("{\"backlogged\"", 0), 0u) << status;
+
+  bool event = false;
+  for (const auto& e : rbvc::obs::events::snapshot()) {
+    event = event ||
+            (e.type == rbvc::obs::events::Type::kVerifyReject &&
+             e.a == static_cast<std::int64_t>(kDriven) &&
+             e.b == static_cast<std::int64_t>(
+                        rbvc::consensus::VerifyReject::kBadViewId));
+  }
+  EXPECT_TRUE(event);
 }
 
 TEST(ClusterTest, DecisionsStayNearTheInputs) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "obs/metrics.h"
 #include "sim/rng.h"
 
 namespace rbvc::lp {
@@ -111,6 +114,37 @@ TEST(SimplexTest, StatusToString) {
   EXPECT_STREQ(to_string(Status::kInfeasible), "infeasible");
   EXPECT_STREQ(to_string(Status::kUnbounded), "unbounded");
   EXPECT_STREQ(to_string(Status::kIterLimit), "iteration-limit");
+}
+
+// thread_solve_ns() is this thread's share of lp.seconds: a thread that
+// solves nothing reads no change while another thread solves, and the
+// solving thread's total is the whole of lp.seconds' growth.
+TEST(SimplexTest, SolveTimeIsCountedPerThread) {
+  auto lp_seconds_sum = [] {
+    const obs::Histogram* h = obs::global().find_histogram("lp.seconds");
+    return h == nullptr ? 0.0 : h->sum();
+  };
+  Matrix a(2, 4);
+  a(0, 0) = 1; a(0, 1) = 1; a(0, 2) = 1;
+  a(1, 0) = 1; a(1, 1) = 3; a(1, 3) = 1;
+  const std::uint64_t reader_before = thread_solve_ns();
+  const double sum_before = lp_seconds_sum();
+  std::uint64_t solver_before = 1, solver_after = 0;
+  std::thread solver([&] {
+    solver_before = thread_solve_ns();
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(solve_standard(a, {4.0, 6.0}, {-1.0, -1.0, 0.0, 0.0}).status,
+                Status::kOptimal);
+    }
+    solver_after = thread_solve_ns();
+  });
+  solver.join();
+  EXPECT_EQ(thread_solve_ns() - reader_before, 0u);
+  EXPECT_EQ(solver_before, 0u);  // a new thread starts at 0
+  EXPECT_GT(solver_after, 0u);
+  const double grown_ns = (lp_seconds_sum() - sum_before) * 1e9;
+  EXPECT_NEAR(static_cast<double>(solver_after), grown_ns,
+              1e-6 * grown_ns + 1.0);
 }
 
 }  // namespace

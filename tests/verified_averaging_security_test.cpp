@@ -7,6 +7,7 @@
 
 #include "consensus/async_averaging.h"
 #include "consensus/verifier.h"
+#include "obs/metrics.h"
 #include "protocols/bracha_rbc.h"
 #include "sim/async_engine.h"
 #include "workload/generators.h"
@@ -15,6 +16,28 @@ namespace rbvc {
 namespace {
 
 using consensus::AsyncAveragingProcess;
+using consensus::VerifyReject;
+
+// consensus.verify_rejects.<reason>, one entry per VerifyReject.
+std::vector<std::uint64_t> verify_rejects() {
+  std::vector<std::uint64_t> out;
+  for (VerifyReject why :
+       {VerifyReject::kBadViewId, VerifyReject::kMalformedView,
+        VerifyReject::kRuleThrew, VerifyReject::kValueMismatch}) {
+    out.push_back(
+        obs::counter(obs::m::verify_rejects, static_cast<std::size_t>(why))
+            .value());
+  }
+  return out;
+}
+
+// The growth of each reason's counter since `before`.
+std::vector<std::uint64_t> verify_rejects_since(
+    const std::vector<std::uint64_t>& before) {
+  std::vector<std::uint64_t> out = verify_rejects();
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] -= before[i];
+  return out;
+}
 
 // Broadcasts an honest round-0 input, then forges its round-1 value: a
 // far-away vector with a structurally valid view attached.
@@ -74,6 +97,7 @@ TEST(VerifiedAveragingSecurity, ForgedRound1ValueIsRejected) {
       correct.push_back(id);
     }
   }
+  const std::vector<std::uint64_t> counted0 = verify_rejects();
   const auto stats = engine.run(correct, 2'000'000);
   ASSERT_TRUE(stats.all_decided);
 
@@ -88,6 +112,9 @@ TEST(VerifiedAveragingSecurity, ForgedRound1ValueIsRejected) {
   // The forged value must have been rejected somewhere (every correct
   // process that completed its verification saw the mismatch).
   EXPECT_GT(total_rejections, 0u);
+  // Every rejection is counted, as a value mismatch.
+  EXPECT_EQ(verify_rejects_since(counted0),
+            (std::vector<std::uint64_t>{0, 0, 0, total_rejections}));
   // And it must not have influenced the outcome: decisions stay within the
   // honest spread despite the 1e6-magnitude forgery.
   EXPECT_TRUE(check_epsilon_agreement(decisions, 0.2));
@@ -134,6 +161,7 @@ TEST(VerifiedAveragingSecurity, MalformedViewIsRejectedOutright) {
       correct.push_back(id);
     }
   }
+  const std::vector<std::uint64_t> counted0 = verify_rejects();
   const auto stats = engine.run(correct, 1'000'000);
   ASSERT_TRUE(stats.all_decided);
   std::size_t rejections = 0;
@@ -142,6 +170,9 @@ TEST(VerifiedAveragingSecurity, MalformedViewIsRejectedOutright) {
                       .rejected();
   }
   EXPECT_GT(rejections, 0u);
+  // Every rejection is counted, as a malformed view.
+  EXPECT_EQ(verify_rejects_since(counted0),
+            (std::vector<std::uint64_t>{0, rejections, 0, 0}));
 }
 
 }  // namespace

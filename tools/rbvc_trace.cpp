@@ -22,7 +22,13 @@
 // plus the end-to-end lines: node decide latency (instance_decided.b) and
 // client propose -> quorum latency (decision.b). Stage times are sums of
 // per-node wall time and overlap across nodes, so they explain where time
-// went, not wall-clock elapsed.
+// went, not wall-clock elapsed. proto_step.b is the LP time of the
+// callback's own thread, so it stays exact when several nodes share one
+// process.
+//
+// It also counts verify_reject events -- values verify-by-recompute
+// refused -- by sender, the live signal of a peer sending forged or
+// malformed values.
 //
 // --perfetto writes Chrome trace-event JSON (load in ui.perfetto.dev or
 // chrome://tracing): one pid per node, proto steps as complete events, the
@@ -82,6 +88,8 @@ struct Attribution {
   std::size_t decide_reports = 0;
   double client_ns_sum = 0;  // client propose -> quorum latencies
   std::size_t client_decisions = 0;
+  std::map<std::int64_t, std::size_t> rejects_by_sender;  // verify_reject.a
+  std::size_t rejects = 0;
 };
 
 void write_perfetto(const std::string& path, const std::vector<Event>& evs) {
@@ -205,6 +213,10 @@ int main(int argc, char** argv) {
         ++t.client_decisions;
         if (e.a == 1) decided.insert(e.instance);
         break;
+      case Type::kVerifyReject:
+        ++t.rejects_by_sender[e.a];
+        ++t.rejects;
+        break;
       default:
         break;
     }
@@ -218,6 +230,11 @@ int main(int argc, char** argv) {
   std::printf("causal: stamped_rx=%zu violations=%zu\n", stamped_rx,
               violations);
   std::printf("decided_instances=%zu\n", decided.size());
+  std::printf("verify_rejects=%zu\n", t.rejects);
+  for (const auto& [sender, count] : t.rejects_by_sender) {
+    std::printf("  from node %lld: %zu\n", static_cast<long long>(sender),
+                count);
+  }
 
   const double n_dec = decided.empty() ? 1.0 : static_cast<double>(decided.size());
   const double active =
